@@ -56,16 +56,28 @@ def _require(obj: dict, key: str, path, where: str = "top level"):
     return obj[key]
 
 
+_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, path, where: str):
+    """value, if it is a JSON integer, list or object as kind asks; a JSON
+    true or false is not an integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise AlgebraFileError(path, f"{where} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def load_group_spec(obj: dict, path="<inline>") -> GroupSpec:
+    _typed(obj, dict, path, "group block")
     kind = _require(obj, "kind", path, "group block")
     try:
         if kind == "finite":
             return GroupSpec.finite(_require(obj, "table", path, "group block"),
                                     obj.get("names"))
         if kind == "free":
-            return GroupSpec.free(int(_require(obj, "rank", path, "group block")))
+            return GroupSpec.free(_group_rank(obj, path))
         if kind == "free_abelian":
-            return GroupSpec.free_abelian(int(_require(obj, "rank", path, "group block")))
+            return GroupSpec.free_abelian(_group_rank(obj, path))
         if kind == "free_product_cyclic":
             return GroupSpec.free_product_cyclic(_require(obj, "orders", path, "group block"))
     except GroupError as exc:
@@ -73,20 +85,21 @@ def load_group_spec(obj: dict, path="<inline>") -> GroupSpec:
     raise AlgebraFileError(path, f"unknown group kind {kind!r}")
 
 
+def _group_rank(obj: dict, path) -> int:
+    return _typed(_require(obj, "rank", path, "group block"), int, path, "group block rank")
+
+
 def load_algebra(path) -> GradedLieAlgebra:
     """Parse an algebra file without validating the Lie/grading axioms."""
     obj = _load_json(path)
     group = load_group_spec(_require(obj, "group", path), path)
 
-    basis = _require(obj, "basis", path)
-    if not isinstance(basis, list):
-        raise AlgebraFileError(path, "'basis' must be a list")
+    basis = _typed(_require(obj, "basis", path), list, path, "basis")
     names: List[str] = []
     degrees: List[GroupElement] = []
     for pos, entry in enumerate(basis):
         where = f"basis[{pos}]"
-        if not isinstance(entry, dict):
-            raise AlgebraFileError(path, f"{where} must be an object")
+        _typed(entry, dict, path, where)
         names.append(str(_require(entry, "name", path, where)))
         try:
             degrees.append(group.parse(_require(entry, "degree", path, where)))
@@ -96,18 +109,19 @@ def load_algebra(path) -> GradedLieAlgebra:
         raise AlgebraFileError(path, "basis names are not distinct")
 
     brackets: Dict[Tuple[int, int], List[Tuple[int, Fraction]]] = {}
-    for pos, entry in enumerate(obj.get("brackets", [])):
+    for pos, entry in enumerate(_typed(obj.get("brackets", []), list, path, "brackets")):
         where = f"brackets[{pos}]"
-        if not isinstance(entry, dict):
-            raise AlgebraFileError(path, f"{where} must be an object")
-        i = int(_require(entry, "i", path, where))
-        j = int(_require(entry, "j", path, where))
+        _typed(entry, dict, path, where)
+        i = _typed(_require(entry, "i", path, where), int, path, f"{where}.i")
+        j = _typed(_require(entry, "j", path, where), int, path, f"{where}.j")
         if (i, j) in brackets:
             raise AlgebraFileError(path, f"{where}: duplicate pair ({i},{j})")
         terms = []
-        for tpos, term in enumerate(_require(entry, "terms", path, where)):
+        raw_terms = _typed(_require(entry, "terms", path, where), list, path, f"{where}.terms")
+        for tpos, term in enumerate(raw_terms):
             twhere = f"{where}.terms[{tpos}]"
-            k = int(_require(term, "k", path, twhere))
+            _typed(term, dict, path, twhere)
+            k = _typed(_require(term, "k", path, twhere), int, path, f"{twhere}.k")
             raw = _require(term, "coeff", path, twhere)
             try:
                 coeff = Fraction(str(raw))
@@ -162,10 +176,10 @@ def load_mats(path, alg: GradedLieAlgebra) -> List[EndoMatrix]:
     """Matrix-span file: {"mats": [{"label", "degree", "rows"}, ...]} with
     rows of exact rational strings and degrees in the algebra's group."""
     obj = _load_json(path)
-    entries = _require(obj, "mats", path)
     mats = []
-    for pos, entry in enumerate(entries):
+    for pos, entry in enumerate(_typed(_require(obj, "mats", path), list, path, "mats")):
         where = f"mats[{pos}]"
+        _typed(entry, dict, path, where)
         label = entry.get("label", f"m{pos}")
         try:
             degree = alg.group.parse(_require(entry, "degree", path, where))
@@ -189,8 +203,9 @@ def load_relabel(path, alg: GradedLieAlgebra) -> Dict[GroupElement, GroupElement
     obj = _load_json(path)
     coarse = load_group_spec(_require(obj, "group", path), path)
     mapping: Dict[GroupElement, GroupElement] = {}
-    for pos, entry in enumerate(_require(obj, "map", path)):
+    for pos, entry in enumerate(_typed(_require(obj, "map", path), list, path, "map")):
         where = f"map[{pos}]"
+        _typed(entry, dict, path, where)
         try:
             fine = alg.group.parse(_require(entry, "from", path, where))
             to = coarse.parse(_require(entry, "to", path, where))

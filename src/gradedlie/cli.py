@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import freelie, liealg, pbw, unigroup
 from .algfile import (AlgebraFileError, ValidationFailure, load_algebra,
@@ -35,7 +35,7 @@ def _parser() -> argparse.ArgumentParser:
                     "normal forms, free graded Lie algebras, grading analysis.")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name: str, help_text: str, max_len: Optional[bool] = False,
+    def add(name: str, help_text: str, max_len: bool = False,
             words: int = 0, relabel: bool = False, mats: bool = False):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--algebra", required=True, metavar="PATH",
@@ -91,6 +91,27 @@ def _vec_render(alg: GradedLieAlgebra, vec: Dict[int, Fraction]) -> str:
     return " + ".join(f"{vec[i]} * {alg.name(i)}" for i in sorted(vec))
 
 
+def _check_line(check: liealg.CheckResult) -> str:
+    status = "pass" if check.passed else f"FAIL  witness: {check.witness}"
+    return f"check {check.name}: {status}"
+
+
+def _element_result(alg: GradedLieAlgebra,
+                    elt: pbw.SUElement) -> Tuple[bool, List[str], List[dict]]:
+    rendered = elt.render(alg)
+    terms = [{"word": list(m), "coeff": str(c)} for m, c in elt.canonical_items()]
+    return True, [rendered], [{"record": "element", "value": rendered, "terms": terms}]
+
+
+def _monomial_listing(alg: GradedLieAlgebra, monos: List[Tuple[int, ...]],
+                      count_note: str = "") -> Tuple[bool, List[str], List[dict]]:
+    lines = [_mono_name(alg, m) for m in monos] + [f"count: {len(monos)}{count_note}"]
+    records = [{"record": "monomial", "word": list(m), "name": _mono_name(alg, m)}
+               for m in monos]
+    records.append({"record": "count", "value": len(monos)})
+    return True, lines, records
+
+
 def _mat_lines(alg: GradedLieAlgebra, mat: liealg.EndoMatrix) -> List[str]:
     head = f"{mat.label or 'matrix'}  degree {alg.group.format(mat.degree)}"
     rows = ["  [" + ", ".join(str(x) for x in row) + "]" for row in mat.rows]
@@ -104,8 +125,7 @@ def _cmd_validate(args) -> Tuple[bool, List[str], List[dict]]:
     report = validate(alg)
     lines, records = [], []
     for check in report.checks:
-        status = "pass" if check.passed else f"FAIL  witness: {check.witness}"
-        lines.append(f"check {check.name}: {status}")
+        lines.append(_check_line(check))
         records.append({"record": "check", "name": check.name,
                         "pass": check.passed, "witness": check.witness})
     return report.passed, lines, records
@@ -115,11 +135,7 @@ def _cmd_normalize(args) -> Tuple[bool, List[str], List[dict]]:
     alg = parse_algebra(args.algebra)
     if len(args.word) != 1:
         raise UsageError("normalize takes exactly one --word")
-    word = parse_word(alg, args.word[0])
-    elt = pbw.normalize(alg, word)
-    rendered = elt.render(alg)
-    return True, [rendered], [{"record": "element", "value": rendered,
-                               "terms": _element_terms(elt)}]
+    return _element_result(alg, pbw.normalize(alg, parse_word(alg, args.word[0])))
 
 
 def _cmd_mul(args) -> Tuple[bool, List[str], List[dict]]:
@@ -128,35 +144,18 @@ def _cmd_mul(args) -> Tuple[bool, List[str], List[dict]]:
         raise UsageError("mul takes exactly two --word flags")
     a = pbw.normalize(alg, parse_word(alg, args.word[0]))
     b = pbw.normalize(alg, parse_word(alg, args.word[1]))
-    elt = pbw.su_mul(alg, a, b)
-    rendered = elt.render(alg)
-    return True, [rendered], [{"record": "element", "value": rendered,
-                               "terms": _element_terms(elt)}]
-
-
-def _element_terms(elt: pbw.SUElement) -> List[dict]:
-    return [{"word": list(m), "coeff": str(c)} for m, c in elt.canonical_items()]
+    return _element_result(alg, pbw.su_mul(alg, a, b))
 
 
 def _cmd_pbw_basis(args) -> Tuple[bool, List[str], List[dict]]:
     alg = parse_algebra(args.algebra)
-    monos = pbw.pbw_basis(alg, args.max_len)
-    lines = [_mono_name(alg, m) for m in monos] + [f"count: {len(monos)}"]
-    records = [{"record": "monomial", "word": list(m), "name": _mono_name(alg, m)}
-               for m in monos]
-    records.append({"record": "count", "value": len(monos)})
-    return True, lines, records
+    return _monomial_listing(alg, pbw.pbw_basis(alg, args.max_len))
 
 
 def _cmd_ug_span(args) -> Tuple[bool, List[str], List[dict]]:
     alg = parse_algebra(args.algebra)
-    monos = pbw.ug_spanning(alg, args.max_len)
-    lines = [_mono_name(alg, m) for m in monos]
-    lines.append(f"count: {len(monos)} (spanning set only; independence not claimed)")
-    records = [{"record": "monomial", "word": list(m), "name": _mono_name(alg, m)}
-               for m in monos]
-    records.append({"record": "count", "value": len(monos)})
-    return True, lines, records
+    return _monomial_listing(alg, pbw.ug_spanning(alg, args.max_len),
+                             " (spanning set only; independence not claimed)")
 
 
 def _cmd_embed_check(args) -> Tuple[bool, List[str], List[dict]]:
@@ -372,8 +371,7 @@ def main(argv=None) -> int:
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         for check in exc.report.checks:
-            status = "pass" if check.passed else f"FAIL  witness: {check.witness}"
-            print(f"check {check.name}: {status}", file=sys.stderr)
+            print(_check_line(check), file=sys.stderr)
         return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

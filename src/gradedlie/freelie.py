@@ -16,7 +16,9 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .groups import GroupElement, GroupSpec, generates_abelian_subgroup
+from .groups import (GroupElement, GroupSpec, _degree_classes,
+                     generates_abelian_subgroup)
+from .linalg import _accumulate, _sparse_add, _sparse_scale
 
 Word = Tuple[int, ...]
 Expansion = Dict[Word, Fraction]
@@ -59,10 +61,7 @@ class GradedAlphabet:
         return " ".join(self.names[i] for i in word) if word else "1"
 
     def word_degree(self, word: Word) -> GroupElement:
-        deg = self.group.identity()
-        for i in word:
-            deg = deg * self.degrees[i]
-        return deg
+        return self.group.product(self.degrees[i] for i in word)
 
     def word_is_gas(self, word: Word) -> bool:
         return generates_abelian_subgroup(set(self.degrees[i] for i in word))
@@ -114,23 +113,7 @@ def _concat(a: Expansion, b: Expansion) -> Expansion:
     out: Expansion = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
-            w = wa + wb
-            s = out.get(w, Fraction(0)) + ca * cb
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
-    return out
-
-
-def _expansion_sub(a: Expansion, b: Expansion) -> Expansion:
-    out = dict(a)
-    for w, c in b.items():
-        s = out.get(w, Fraction(0)) - c
-        if s == 0:
-            out.pop(w, None)
-        else:
-            out[w] = s
+            _accumulate(out, wa + wb, ca * cb)
     return out
 
 
@@ -141,7 +124,7 @@ def standard_bracketing(word: Word) -> Expansion:
         return {word: Fraction(1)}
     u, v = _standard_factorization(word)
     eu, ev = standard_bracketing(u), standard_bracketing(v)
-    return _expansion_sub(_concat(eu, ev), _concat(ev, eu))
+    return _sparse_add(_concat(eu, ev), _sparse_scale(-1, _concat(ev, eu)))
 
 
 @dataclass(frozen=True)
@@ -257,12 +240,7 @@ def degree_product(degrees: Sequence[GroupElement],
     referenced = [degrees[i] for i in indices]
     if not generates_abelian_subgroup(set(referenced)):
         return None
-    if not referenced:
-        return degrees[0].spec.identity()
-    out = referenced[0].spec.identity()
-    for d in referenced:
-        out = out * d
-    return out
+    return (referenced or degrees)[0].spec.product(referenced)
 
 
 @dataclass
@@ -290,16 +268,8 @@ def abelian_lift_check(alphabet: GradedAlphabet, max_len: int) -> LiftReport:
     its lifted degree."""
     if max_len < 1:
         raise FreeLieError("max_len must be >= 1")
-    distinct: List[GroupElement] = []
-    var_class: List[int] = []
-    for d in alphabet.degrees:
-        for pos, seen in enumerate(distinct):
-            if seen == d:
-                var_class.append(pos)
-                break
-        else:
-            var_class.append(len(distinct))
-            distinct.append(d)
+    classes = _degree_classes(alphabet.degrees)
+    distinct = [d for d, _ in classes]
 
     violations: List[LiftViolation] = []
     checked = 0
@@ -311,8 +281,8 @@ def abelian_lift_check(alphabet: GradedAlphabet, max_len: int) -> LiftReport:
             # lifted degree of the word: exponent vector over distinct
             # degrees, fed to the partial product map in class order
             exponents: List[int] = []
-            for cls in range(len(distinct)):
-                exponents.extend([cls] * sum(1 for i in word if var_class[i] == cls))
+            for cls, (_, members) in enumerate(classes):
+                exponents.extend([cls] * sum(word.count(i) for i in members))
             lifted = degree_product(distinct, exponents)
             if survives != (lifted is not None):
                 violations.append(LiftViolation(

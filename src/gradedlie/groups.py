@@ -12,7 +12,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 FINITE = "finite"
 FREE = "free"
@@ -129,8 +129,6 @@ class GroupSpec:
             return self.identity()
         try:
             return self._parse(literal)
-        except BackendMismatch:
-            raise
         except GroupError:
             raise
         except (ValueError, TypeError, IndexError) as exc:
@@ -146,10 +144,7 @@ class GroupSpec:
                 return self.identity()
             if not isinstance(literal, str):
                 raise GroupError(f"free group literals are strings, got {literal!r}")
-            out = self.identity()
-            for token in literal.split():
-                out = out * self._parse_free_token(token)
-            return out
+            return self.product(self._parse_free_token(t) for t in literal.split())
         if self.kind == FREE_ABELIAN:
             vec = json.loads(literal) if isinstance(literal, str) else list(literal)
             vec = [int(x) for x in vec]
@@ -158,11 +153,7 @@ class GroupSpec:
             return GroupElement(self, tuple(vec))
         if self.kind == FREE_PRODUCT_CYCLIC:
             syllables = json.loads(literal) if isinstance(literal, str) else list(literal)
-            out = self.identity()
-            for syl in syllables:
-                factor, exp = syl
-                out = out * self.generator(int(factor), int(exp))
-            return out
+            return self.product(self.generator(int(f), int(e)) for f, e in syllables)
         raise GroupError(f"unknown backend {self.kind!r}")
 
     def _parse_free_token(self, token: str) -> "GroupElement":
@@ -219,6 +210,13 @@ class GroupSpec:
             return GroupElement(self, _merge_product(a.data, b.data, self.orders))
         raise GroupError(f"unknown backend {self.kind!r}")
 
+    def product(self, elems: Iterable["GroupElement"]) -> "GroupElement":
+        """Ordered product of the elements; the identity when there are none."""
+        out = self.identity()
+        for e in elems:
+            out = out * e
+        return out
+
     def inv(self, a: "GroupElement") -> "GroupElement":
         self._claim(a)
         if self.kind == FINITE:
@@ -247,10 +245,7 @@ class GroupElement:
     def __pow__(self, n: int) -> "GroupElement":
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.spec.identity()
-        for _ in range(n):
-            out = out * self
-        return out
+        return self.spec.product([self] * n)
 
     def inverse(self) -> "GroupElement":
         return self.spec.inv(self)
@@ -329,6 +324,22 @@ def generates_abelian_subgroup(elements: Iterable[GroupElement]) -> bool:
             if not commute(elems[i], elems[j]):
                 return False
     return True
+
+
+def _degree_classes(degrees: Sequence[GroupElement]) -> List[Tuple[GroupElement, List[int]]]:
+    """Equal degrees as (degree, positions) pairs in first-appearance order.
+
+    Compares with == and never hashes: hashing a finite-group element hashes
+    its whole Cayley table."""
+    classes: List[Tuple[GroupElement, List[int]]] = []
+    for pos, d in enumerate(degrees):
+        for deg, members in classes:
+            if deg == d:
+                members.append(pos)
+                break
+        else:
+            classes.append((d, [pos]))
+    return classes
 
 
 # -- finite table validation --------------------------------------------------

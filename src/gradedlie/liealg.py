@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg
-from .groups import GroupElement, GroupSpec, commute
+from .groups import GroupElement, GroupSpec, _degree_classes, commute
+from .linalg import _accumulate, _mat_mul, _sparse_add, _sparse_scale
 
 LieVector = Dict[int, Fraction]
 
@@ -65,8 +66,8 @@ class GradedLieAlgebra:
             for k, c in terms:
                 if not 0 <= k < n:
                     raise LieAlgebraError(f"bracket target index {k} out of range for n={n}")
-                acc[int(k)] = acc.get(int(k), Fraction(0)) + Fraction(c)
-            clean = tuple(sorted((k, c) for k, c in acc.items() if c != 0))
+                _accumulate(acc, int(k), Fraction(c))
+            clean = tuple(sorted(acc.items()))
             if clean:
                 table[(i, j)] = clean
         self.brackets = table
@@ -94,15 +95,7 @@ class GradedLieAlgebra:
     def components(self) -> List[Tuple[GroupElement, List[int]]]:
         """Homogeneous components as (degree, basis indices), in first
         appearance order; equal degrees fold into one component."""
-        out: List[Tuple[GroupElement, List[int]]] = []
-        for i, d in enumerate(self.degrees):
-            for deg, idxs in out:
-                if deg == d:
-                    idxs.append(i)
-                    break
-            else:
-                out.append((d, [i]))
-        return out
+        return _degree_classes(self.degrees)
 
 
 # -- vectors ------------------------------------------------------------------
@@ -121,21 +114,11 @@ def basis_vector(i: int) -> LieVector:
 
 
 def vec_add(x: LieVector, y: LieVector) -> LieVector:
-    out = dict(x)
-    for i, c in y.items():
-        s = out.get(i, Fraction(0)) + c
-        if s == 0:
-            out.pop(i, None)
-        else:
-            out[i] = s
-    return out
+    return _sparse_add(x, y)
 
 
 def vec_scale(c, x: LieVector) -> LieVector:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {i: c * v for i, v in x.items()}
+    return _sparse_scale(Fraction(c), x)
 
 
 def bracket(alg: GradedLieAlgebra, x: Mapping[int, Fraction],
@@ -150,11 +133,7 @@ def bracket(alg: GradedLieAlgebra, x: Mapping[int, Fraction],
                 raise LieAlgebraError(f"basis index {j} out of range")
             f = xi * yj
             for k, c in alg.bracket_basis(i, j):
-                s = out.get(k, Fraction(0)) + f * c
-                if s == 0:
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                _accumulate(out, k, f * c)
     return out
 
 
@@ -278,16 +257,9 @@ class EndoMatrix:
         return [x for row in self.rows for x in row]
 
 
-def _mat_commutator(a: EndoMatrix, b: EndoMatrix) -> List[List[Fraction]]:
-    n = len(a.rows)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = Fraction(0)
-            for k in range(n):
-                s += a.rows[i][k] * b.rows[k][j] - b.rows[i][k] * a.rows[k][j]
-            out[i][j] = s
-    return out
+def _mat_commutator(a: EndoMatrix, b: EndoMatrix) -> List[list]:
+    ab, ba = _mat_mul(a.rows, b.rows), _mat_mul(b.rows, a.rows)
+    return [[x - y for x, y in zip(p, q)] for p, q in zip(ab, ba)]
 
 
 def check_block_invariant(alg: GradedLieAlgebra, mat: EndoMatrix) -> None:

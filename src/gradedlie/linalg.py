@@ -1,8 +1,10 @@
 """Exact linear algebra over the rationals and the integers.
 
-Everything here is dense and small-scale: rational row reduction for ranks,
-null spaces and span membership, and an integer Smith normal form with the
-unimodular transforms tracked and verified.  No floating point anywhere.
+Matrices are dense and small-scale: one rational row reduction (rref) for
+ranks, null spaces, span membership and independent subsets, a zero-skipping
+matrix product, and an integer Smith normal form with the unimodular
+transforms tracked and verified.  Sparse vectors (dicts from keys to nonzero
+coefficients) share one accumulator.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -91,21 +93,31 @@ def in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
 
 
 def independent_subset(vectors: Sequence[Sequence]) -> List[int]:
-    """Indices of a greedy maximal linearly independent subset, in order."""
-    basis: List[Tuple[int, Vector]] = []  # (leading column, echelon row), sorted
-    kept: List[int] = []
-    for idx, vec in enumerate(vectors):
-        w = [Fraction(x) for x in vec]
-        for lead, bvec in basis:
-            if w[lead] != 0:
-                f = w[lead] / bvec[lead]
-                w = [a - f * b for a, b in zip(w, bvec)]
-        lead = next((i for i, x in enumerate(w) if x != 0), None)
-        if lead is not None:
-            basis.append((lead, w))
-            basis.sort(key=lambda t: t[0])
-            kept.append(idx)
-    return kept
+    """Indices of the greedy maximal linearly independent subset, in order:
+    the pivot columns of the matrix whose columns are the vectors."""
+    return rref(list(zip(*vectors)))[1]
+
+
+# -- sparse vectors: dicts from keys to nonzero coefficients ------------------
+
+def _accumulate(acc: dict, key, c) -> None:
+    """acc[key] += c in place, dropping the key when the sum is zero."""
+    s = acc.get(key, 0) + c
+    if s == 0:
+        acc.pop(key, None)
+    else:
+        acc[key] = s
+
+
+def _sparse_add(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for key, c in y.items():
+        _accumulate(out, key, c)
+    return out
+
+
+def _sparse_scale(c, x: dict) -> dict:
+    return {key: c * v for key, v in x.items()} if c != 0 else {}
 
 
 # -- integer matrices ---------------------------------------------------------
@@ -147,7 +159,9 @@ class SmithForm:
     V: List[List[int]]
 
 
-def _mat_mul_int(a, b):
+def _mat_mul(a, b):
+    """Exact product of two dense matrices of ints or Fractions; zero
+    entries of a are skipped, so sparse factors cost little."""
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
@@ -254,7 +268,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
 def _check_smith(orig, D, U, V, diag) -> None:
     m = len(D)
     n = len(D[0]) if m else 0
-    prod = _mat_mul_int(_mat_mul_int(U, [list(map(int, r)) for r in orig]), V)
+    prod = _mat_mul(_mat_mul(U, [list(map(int, r)) for r in orig]), V)
     if prod != D:
         raise ArithmeticError("smith normal form postcondition failed: U*M*V != D")
     for i in range(m):

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import linalg
 from .groups import GroupElement, commute, generates_abelian_subgroup
 from .liealg import GradedLieAlgebra, LieAlgebraError
+from .linalg import _accumulate, _sparse_add, _sparse_scale
 
 Monomial = Tuple[int, ...]
 
@@ -59,25 +60,16 @@ class SUElement:
         return isinstance(other, SUElement) and self.terms == other.terms
 
     def __add__(self, other: "SUElement") -> "SUElement":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
         res = SUElement()
-        res.terms = out
+        res.terms = _sparse_add(self.terms, other.terms)
         return res
 
     def __sub__(self, other: "SUElement") -> "SUElement":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "SUElement":
-        scalar = Fraction(scalar)
         res = SUElement()
-        if scalar != 0:
-            res.terms = {m: scalar * c for m, c in self.terms.items()}
+        res.terms = _sparse_scale(Fraction(scalar), self.terms)
         return res
 
     def __repr__(self) -> str:
@@ -100,10 +92,7 @@ class SUElement:
 
 def monomial_degree(alg: GradedLieAlgebra, mono: Sequence[int]) -> GroupElement:
     """Ordered product of the letter degrees."""
-    deg = alg.group.identity()
-    for i in mono:
-        deg = deg * alg.degree(i)
-    return deg
+    return alg.group.product(alg.degree(i) for i in mono)
 
 
 def word_is_gas(alg: GradedLieAlgebra, word: Sequence[int]) -> bool:
@@ -117,14 +106,6 @@ def _leftmost_descent(word: Monomial) -> Optional[int]:
         if word[t] > word[t + 1]:
             return t
     return None
-
-
-def _merge(acc: Dict[Monomial, Fraction], mono: Monomial, c: Fraction) -> None:
-    s = acc.get(mono, Fraction(0)) + c
-    if s == 0:
-        acc.pop(mono, None)
-    else:
-        acc[mono] = s
 
 
 def normalize(alg: GradedLieAlgebra, word: Sequence[int], coeff=1) -> SUElement:
@@ -151,13 +132,13 @@ def normalize(alg: GradedLieAlgebra, word: Sequence[int], coeff=1) -> SUElement:
         c = pending.pop(w)
         t = _leftmost_descent(w)
         if t is None:
-            _merge(result, w, c)
+            _accumulate(result, w, c)
             continue
         b, a = w[t], w[t + 1]  # b > a
-        _merge(pending, w[:t] + (a, b) + w[t + 2:], c)
+        _accumulate(pending, w[:t] + (a, b) + w[t + 2:], c)
         # e_b e_a = e_a e_b - [e_a, e_b]
         for k, alpha in alg.brackets.get((a, b), ()):
-            _merge(pending, w[:t] + (k,) + w[t + 2:], -c * alpha)
+            _accumulate(pending, w[:t] + (k,) + w[t + 2:], -c * alpha)
     out = SUElement()
     out.terms = result
     return out

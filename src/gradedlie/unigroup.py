@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Tuple
 
-from .groups import GroupElement
+from .groups import GroupElement, _degree_classes
 from .liealg import GradedLieAlgebra, LieAlgebraError
 from .linalg import row_hnf, smith_normal_form
 
@@ -216,12 +216,6 @@ def coarsening_check(alg: GradedLieAlgebra,
                            f"{relabel[gi].spec.format(lhs)} = {relabel[gi].spec.format(rhs)}")
 
     support_map = [(deg, relabel[deg]) for deg in supp]
-    merges: List[Tuple[GroupElement, List[GroupElement]]] = []
-    for deg, coarse in support_map:
-        for cdeg, fines in merges:
-            if cdeg == coarse:
-                fines.append(deg)
-                break
-        else:
-            merges.append((coarse, [deg]))
+    merges = [(coarse, [supp[p] for p in fines])
+              for coarse, fines in _degree_classes([c for _, c in support_map])]
     return CoarseningReport(True, Coarsening(support_map, merges))

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -93,6 +96,54 @@ def test_validation_failure_carries_report(tmp_path):
     assert not exc.value.report.passed
     assert any(c.name == "grading" and not c.passed
                for c in exc.value.report.checks)
+
+
+def _sl2_edited(edit):
+    data = json.loads((FIXTURES / "sl2.alg").read_text())
+    edit(data)
+    return data
+
+
+MALFORMED_FILES = [
+    pytest.param("validate", "--algebra",
+                 _sl2_edited(lambda d: d["brackets"][0]["terms"][0].update(k="x")),
+                 "brackets[0].terms[0]", id="term-k-string"),
+    pytest.param("validate", "--algebra",
+                 _sl2_edited(lambda d: d["brackets"][0].update(i="zero")),
+                 "brackets[0]", id="bracket-i-string"),
+    pytest.param("validate", "--algebra",
+                 _sl2_edited(lambda d: d["brackets"][0].update(terms=5)),
+                 "brackets[0].terms", id="terms-not-a-list"),
+    pytest.param("validate", "--algebra",
+                 _sl2_edited(lambda d: d["brackets"][0].update(terms=[7])),
+                 "brackets[0].terms[0]", id="term-not-an-object"),
+    pytest.param("validate", "--algebra",
+                 _sl2_edited(lambda d: d["group"].update(rank="x")),
+                 "group block", id="group-rank-string"),
+    pytest.param("graded-span-check", "--mats", {"mats": [5]},
+                 "mats[0]", id="mats-entry-not-an-object"),
+    pytest.param("coarsen-check", "--relabel",
+                 {"group": {"kind": "free_abelian", "rank": 1}, "map": [5]},
+                 "map[0]", id="map-entry-not-an-object"),
+]
+
+
+@pytest.mark.parametrize("command, flag, content, location", MALFORMED_FILES)
+def test_cli_malformed_file_exits_2_with_location(tmp_path, command, flag,
+                                                  content, location):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    argv = [command, "--algebra", str(bad if flag == "--algebra" else FIXTURES / "sl2.alg")]
+    if flag != "--algebra":
+        argv += [flag, str(bad)]
+    src = str(FIXTURES.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "gradedlie.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert location in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_parse_word_forms(sl2):

@@ -70,6 +70,24 @@ def test_independent_subset():
         assert rank([vs[i] for i in kept]) == len(kept)
 
 
+def test_independent_subset_keeps_greedy_order():
+    # vector i is kept exactly when it raises the rank of vs[:i]; the order
+    # decides which "ad e_i" labels the inner derivations carry
+    rng = random.Random(11)
+    cases = [[], [[]], [[0, 0, 0]] * 4]
+    for _ in range(200):
+        vs = random_int_matrix(rng, rng.randint(1, 8), rng.randint(1, 5), bound=2)
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.randrange(len(vs)), rng.randrange(len(vs))
+            vs.insert(rng.randint(0, len(vs)), [x - 2 * y for x, y in zip(vs[a], vs[b])])
+        if rng.random() < 0.2:
+            vs[rng.randrange(len(vs))] = [0] * len(vs[0])
+        cases.append(vs)
+    for vs in cases:
+        assert independent_subset(vs) == [
+            i for i in range(len(vs)) if rank(vs[:i + 1]) > rank(vs[:i])]
+
+
 # -- integer determinant -----------------------------------------------------------
 
 def _det_fraction(rows):
