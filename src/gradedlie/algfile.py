@@ -56,15 +56,21 @@ def _require(obj: dict, key: str, path, where: str = "top level"):
     return obj[key]
 
 
-_JSON_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
 
 
 def _typed(value, kind: type, path, where: str):
-    """value, if it is a JSON integer, list or object as kind asks; a JSON
-    true or false is not an integer."""
+    """value, if it is a JSON integer, string, list or object as kind asks;
+    a JSON true or false is not an integer."""
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise AlgebraFileError(path, f"{where} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
+
+
+def _typed_list(value, kind: type, path, where: str) -> list:
+    """value, if it is a JSON list whose entries are all of the given kind."""
+    return [_typed(x, kind, path, f"{where}[{pos}]")
+            for pos, x in enumerate(_typed(value, list, path, where))]
 
 
 def load_group_spec(obj: dict, path="<inline>") -> GroupSpec:
@@ -72,14 +78,19 @@ def load_group_spec(obj: dict, path="<inline>") -> GroupSpec:
     kind = _require(obj, "kind", path, "group block")
     try:
         if kind == "finite":
-            return GroupSpec.finite(_require(obj, "table", path, "group block"),
-                                    obj.get("names"))
+            table = _typed_list(_require(obj, "table", path, "group block"), list, path,
+                                "group.table")
+            names = obj.get("names")
+            return GroupSpec.finite(
+                [_typed_list(row, int, path, f"group.table[{r}]") for r, row in enumerate(table)],
+                None if names is None else _typed_list(names, str, path, "group.names"))
         if kind == "free":
             return GroupSpec.free(_group_rank(obj, path))
         if kind == "free_abelian":
             return GroupSpec.free_abelian(_group_rank(obj, path))
         if kind == "free_product_cyclic":
-            return GroupSpec.free_product_cyclic(_require(obj, "orders", path, "group block"))
+            return GroupSpec.free_product_cyclic(_typed_list(
+                _require(obj, "orders", path, "group block"), int, path, "group.orders"))
     except GroupError as exc:
         raise AlgebraFileError(path, f"bad group block: {exc}") from None
     raise AlgebraFileError(path, f"unknown group kind {kind!r}")
@@ -185,7 +196,7 @@ def load_mats(path, alg: GradedLieAlgebra) -> List[EndoMatrix]:
             degree = alg.group.parse(_require(entry, "degree", path, where))
         except GroupError as exc:
             raise AlgebraFileError(path, f"{where}: {exc}") from None
-        rows = _require(entry, "rows", path, where)
+        rows = _typed_list(_require(entry, "rows", path, where), list, path, f"{where}.rows")
         try:
             mat = EndoMatrix.build([[Fraction(str(x)) for x in row] for row in rows],
                                    degree, str(label))

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .groups import (GroupElement, GroupSpec, _degree_classes,
+from .groups import (GroupElement, GroupSpec, _degree_classes, _letters_commute,
                      generates_abelian_subgroup)
 from .linalg import _accumulate, _sparse_add, _sparse_scale
 
@@ -64,7 +64,7 @@ class GradedAlphabet:
         return self.group.product(self.degrees[i] for i in word)
 
     def word_is_gas(self, word: Word) -> bool:
-        return generates_abelian_subgroup(set(self.degrees[i] for i in word))
+        return _letters_commute(self.degrees, word)
 
 
 @dataclass
@@ -237,9 +237,9 @@ def degree_product(degrees: Sequence[GroupElement],
     well-defined product of the commutative exponent data exists)."""
     if not degrees and not indices:
         raise FreeLieError("empty degree list")
-    referenced = [degrees[i] for i in indices]
-    if not generates_abelian_subgroup(set(referenced)):
+    if not _letters_commute(degrees, indices):
         return None
+    referenced = [degrees[i] for i in indices]
     return (referenced or degrees)[0].spec.product(referenced)
 
 

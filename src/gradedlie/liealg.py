@@ -9,6 +9,7 @@ the graded-Lie-subspace check on endomorphism spans all live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -257,8 +258,15 @@ class EndoMatrix:
         return [x for row in self.rows for x in row]
 
 
-def _mat_commutator(a: EndoMatrix, b: EndoMatrix) -> List[list]:
-    ab, ba = _mat_mul(a.rows, b.rows), _mat_mul(b.rows, a.rows)
+def _integral_rows(mat: EndoMatrix) -> List[List[int]]:
+    """mat times the lcm of its denominators: a nonzero integer multiple,
+    so it has the same zero test and spans the same line."""
+    scale = math.lcm(*(x.denominator for row in mat.rows for x in row))
+    return [[x.numerator * (scale // x.denominator) for x in row] for row in mat.rows]
+
+
+def _mat_commutator(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+    ab, ba = _mat_mul(a, b), _mat_mul(b, a)
     return [[x - y for x, y in zip(p, q)] for p, q in zip(ab, ba)]
 
 
@@ -312,13 +320,16 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     For each pair: if the declared degrees do not commute the commutator must
     vanish; otherwise a nonzero commutator must lie in the span of the listed
     matrices of the product degree.  The first offending pair is the witness.
+    Each matrix is scaled to integers once, which changes neither answer.
     """
     for mat in mats:
         check_block_invariant(alg, mat)
+    ints = [_integral_rows(mat) for mat in mats]
+    flats = [[x for row in rows for x in row] for rows in ints]
     for i1 in range(len(mats)):
         for i2 in range(i1 + 1, len(mats)):
             u, v = mats[i1], mats[i2]
-            comm = _mat_commutator(u, v)
+            comm = _mat_commutator(ints[i1], ints[i2])
             nonzero = any(x != 0 for row in comm for x in row)
             if not commute(u.degree, v.degree):
                 if nonzero:
@@ -329,7 +340,7 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
             if not nonzero:
                 continue
             target_degree = u.degree * v.degree
-            pool = [m.flatten() for m in mats if m.degree == target_degree]
+            pool = [flats[i] for i, m in enumerate(mats) if m.degree == target_degree]
             flat = [x for row in comm for x in row]
             if linalg.in_span(pool, flat) is None:
                 return GradedSpanReport(

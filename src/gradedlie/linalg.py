@@ -2,9 +2,12 @@
 
 Matrices are dense and small-scale: one rational row reduction (rref) for
 ranks, null spaces, span membership and independent subsets, a zero-skipping
-matrix product, and an integer Smith normal form with the unimodular
-transforms tracked and verified.  Sparse vectors (dicts from keys to nonzero
-coefficients) share one accumulator.  No floating point anywhere.
+matrix product, and an integer Smith normal form D = U*M*V.  Its transforms
+are tracked together with their inverses, and every call checks U*M*V = D,
+the diagonal and its divisibility chain, and U*U^-1 = V^-1*V = I: integer
+matrices with integer inverses, hence unimodular.  Sparse vectors (dicts
+from keys to nonzero coefficients) share one accumulator.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -87,9 +90,11 @@ def in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
     tgt = [Fraction(x) for x in target]
     if not vectors:
         return [] if all(x == 0 for x in tgt) else None
-    dim = len(tgt)
-    rows = [[Fraction(v[d]) for v in vectors] for d in range(dim)]
-    return solve(rows, tgt)
+    # coordinates where every vector and the target vanish give 0 = 0
+    live = [d for d, t in enumerate(tgt) if t or any(v[d] for v in vectors)]
+    if not live:
+        return [Fraction(0)] * len(vectors)
+    return solve([[v[d] for v in vectors] for d in live], [tgt[d] for d in live])
 
 
 def independent_subset(vectors: Sequence[Sequence]) -> List[int]:
@@ -161,55 +166,78 @@ class SmithForm:
 
 def _mat_mul(a, b):
     """Exact product of two dense matrices of ints or Fractions; zero
-    entries of a are skipped, so sparse factors cost little."""
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            f = ai[k]
+    entries of either factor are skipped, so sparse factors cost little."""
+    cols = len(b[0]) if b else 0
+    b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for ai in a:
+        oi = [0] * cols
+        for f, bk in zip(ai, b_nonzero):
             if f:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += f * bk[j]
+                for j, x in bk:
+                    oi[j] += f * x
+        out.append(oi)
     return out
+
+
+def _identity(n: int) -> List[List[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _transpose(rows: List[List[int]]) -> List[List[int]]:
+    return [list(col) for col in zip(*rows)]
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
     """Exact Smith normal form of an integer matrix, with postconditions
-    (reconstruction, unimodularity, divisibility chain) verified on every
-    call."""
+    verified on every call: U*M*V = D, D diagonal, the divisibility chain,
+    and unimodularity of U and V.
+
+    Unimodularity is certified by inverses tracked beside the transforms:
+    every elementary operation on U or V applies its inverse to U^-1 or
+    V^-1, and the check multiplies them out to the identity.  An integer
+    matrix with an integer inverse has determinant +-1, so this is as exact
+    as a determinant and costs two sparse products instead of an O(n^3)
+    elimination."""
     M = [[int(x) for x in row] for row in rows]
     m = len(M)
     n = len(M[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    # V and U^-1 are kept transposed, so that every update of a transform or
+    # an inverse is a row operation
+    U, V_t = _identity(m), _identity(n)
+    Ui_t, Vi = _identity(m), _identity(n)
 
     def swap_rows(i, j):
         M[i], M[j] = M[j], M[i]
         U[i], U[j] = U[j], U[i]
+        Ui_t[i], Ui_t[j] = Ui_t[j], Ui_t[i]
 
     def swap_cols(i, j):
         for row in M:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        V_t[i], V_t[j] = V_t[j], V_t[i]
+        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def add_row(dst, src, q):
-        # row_dst += q * row_src
+        # row_dst += q * row_src; on U^-1, column_src -= q * column_dst
         M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
         U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+        Ui_t[src] = [a - q * b for a, b in zip(Ui_t[src], Ui_t[dst])]
 
     def add_col(dst, src, q):
+        # column_dst += q * column_src; on V^-1, row_src -= q * row_dst
         for row in M:
             row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
+        V_t[dst] = [a + q * b for a, b in zip(V_t[dst], V_t[src])]
+        Vi[src] = [a - q * b for a, b in zip(Vi[src], Vi[dst])]
 
     def negate_row(i):
         M[i] = [-x for x in M[i]]
         U[i] = [-x for x in U[i]]
+        Ui_t[i] = [-x for x in Ui_t[i]]
 
     t = 0
     while t < min(m, n):
@@ -260,12 +288,14 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
             negate_row(t)
         t += 1
 
-    diag = [M[i][i] for i in range(min(m, n))]
-    _check_smith(rows, M, U, V, diag)
-    return SmithForm(diag=diag, U=U, V=V)
+    V = _transpose(V_t)
+    _check_smith(rows, M, U, V, _transpose(Ui_t), Vi)
+    return SmithForm(diag=[M[i][i] for i in range(min(m, n))], U=U, V=V)
 
 
-def _check_smith(orig, D, U, V, diag) -> None:
+def _check_smith(orig, D, U, V, U_inv, V_inv) -> None:
+    """Raise ArithmeticError unless U*orig*V = D is a Smith normal form with
+    U*U_inv = I and V_inv*V = I."""
     m = len(D)
     n = len(D[0]) if m else 0
     prod = _mat_mul(_mat_mul(U, [list(map(int, r)) for r in orig]), V)
@@ -275,8 +305,9 @@ def _check_smith(orig, D, U, V, diag) -> None:
         for j in range(n):
             if i != j and D[i][j] != 0:
                 raise ArithmeticError("smith normal form postcondition failed: D not diagonal")
-    if det_int(U) not in (1, -1) or det_int(V) not in (1, -1):
+    if _mat_mul(U, U_inv) != _identity(m) or _mat_mul(V_inv, V) != _identity(n):
         raise ArithmeticError("smith normal form postcondition failed: transform not unimodular")
+    diag = [D[i][i] for i in range(min(m, n))]
     for a, b in zip(diag, diag[1:]):
         if a == 0 and b != 0:
             raise ArithmeticError("smith normal form postcondition failed: zero before nonzero")

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .groups import GroupElement, commute, generates_abelian_subgroup
+from .groups import GroupElement, _letters_commute, commute
 from .liealg import GradedLieAlgebra, LieAlgebraError
 from .linalg import _accumulate, _sparse_add, _sparse_scale
 
@@ -97,8 +97,8 @@ def monomial_degree(alg: GradedLieAlgebra, mono: Sequence[int]) -> GroupElement:
 
 def word_is_gas(alg: GradedLieAlgebra, word: Sequence[int]) -> bool:
     """True iff the degree multiset of the word generates an abelian
-    subgroup (duplicates are irrelevant, so the distinct degrees decide)."""
-    return generates_abelian_subgroup(set(alg.degree(i) for i in word))
+    subgroup."""
+    return _letters_commute(alg.degrees, word)
 
 
 def _leftmost_descent(word: Monomial) -> Optional[int]:

@@ -146,6 +146,34 @@ def test_cli_malformed_file_exits_2_with_location(tmp_path, command, flag,
     assert "Traceback" not in proc.stderr
 
 
+def _sl2_with_group(group):
+    return _sl2_edited(lambda d: d.update(group=group))
+
+
+MALFORMED_GROUPS_AND_ROWS = [
+    pytest.param("validate", "--algebra",
+                 _sl2_with_group({"kind": "free_product_cyclic", "orders": ["x"]}),
+                 "group.orders[0] must be an integer, got 'x'", id="orders-entry-string"),
+    pytest.param("validate", "--algebra",
+                 _sl2_with_group({"kind": "finite", "table": [[0, 1], [1, "a"]]}),
+                 "group.table[1][1] must be an integer, got 'a'", id="table-entry-string"),
+    pytest.param("validate", "--algebra",
+                 _sl2_with_group({"kind": "finite", "table": [[0, 1], [1, 0]], "names": 5}),
+                 "group.names must be a list, got 5", id="names-not-a-list"),
+    pytest.param("graded-span-check", "--mats", {"mats": [{"degree": [0], "rows": 5}]},
+                 "mats[0].rows must be a list, got 5", id="rows-not-a-list"),
+    pytest.param("graded-span-check", "--mats",
+                 {"mats": [{"degree": [0], "rows": [[0, 0, 0], 7, [0, 0, 0]]}]},
+                 "mats[0].rows[1] must be a list, got 7", id="row-not-a-list"),
+]
+
+
+@pytest.mark.parametrize("command, flag, content, location", MALFORMED_GROUPS_AND_ROWS)
+def test_cli_malformed_group_or_rows_exits_2_with_location(tmp_path, command, flag,
+                                                           content, location):
+    test_cli_malformed_file_exits_2_with_location(tmp_path, command, flag, content, location)
+
+
 def test_parse_word_forms(sl2):
     assert parse_word(sl2, "[2,0,1]") == (2, 0, 1)
     assert parse_word(sl2, "f h e") == (2, 1, 0)

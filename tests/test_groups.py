@@ -64,6 +64,87 @@ def test_finite_table_rejects_nonassociative_loop():
         GroupSpec.finite(loop)
 
 
+def _loop_times_cyclic(loop, m):
+    """The direct product of a loop with Z/m, (a, x)(b, y) = (ab, x + y),
+    with (a, x) at index a*m + x, so the identity stays at 0."""
+    n = len(loop)
+    return [[loop[i // m][j // m] * m + (i % m + j % m) % m for j in range(n * m)]
+            for i in range(n * m)]
+
+
+def _associativity_failure(message, table):
+    a, b, c = map(int, message.split("(")[-1].rstrip(")").split(","))
+    return table[table[a][b]][c] != table[a][table[b][c]]
+
+
+def test_finite_table_rejects_nonassociative_loop_above_64():
+    loop = [[0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0]]
+    table = _loop_times_cyclic(loop, 14)  # order 70
+    with pytest.raises(InvalidCayleyTable, match=r"associativity fails on \(\d+,\d+,\d+\)") as exc:
+        GroupSpec.finite(table)
+    assert _associativity_failure(str(exc.value), table)
+
+
+def _random_loop(rng, n):
+    """A random Latin square whose row 0 and column 0 are the identity."""
+    t = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(pos):
+        if pos == len(cells):
+            return True
+        i, j = cells[pos]
+        options = [x for x in range(n) if x not in t[i] and all(r[j] != x for r in t)]
+        rng.shuffle(options)
+        for x in options:
+            t[i][j] = x
+            if fill(pos + 1):
+                return True
+        t[i][j] = None
+        return False
+
+    fill(0)
+    return t
+
+
+def _relabeled(table, perm):
+    """The same operation with element x renamed perm[x] (perm[0] = 0)."""
+    out = [[0] * len(table) for _ in table]
+    for a, row in enumerate(table):
+        for b, ab in enumerate(row):
+            out[perm[a]][perm[b]] = perm[ab]
+    return out
+
+
+def test_associativity_verdict_matches_all_triples():
+    rng = random.Random(29)
+    tables = [_random_loop(rng, n) for n in (4, 5, 6, 7) for _ in range(10)]
+    for n, group in ((6, s3_spec().table), (8, _loop_times_cyclic([[0, 1], [1, 0]], 4))):
+        for _ in range(5):
+            perm = [0] + rng.sample(range(1, n), n - 1)
+            tables.append(_relabeled(group, perm))
+    verdicts = set()
+    for table in tables:
+        n = len(table)
+        if any(table[table[i].index(0)][i] != 0 for i in range(n)):
+            continue  # no two-sided inverses: rejected before associativity
+        associative = all(table[table[a][b]][c] == table[a][table[b][c]]
+                          for a in range(n) for b in range(n) for c in range(n))
+        try:
+            GroupSpec.finite(table)
+            accepted = True
+        except InvalidCayleyTable as exc:
+            accepted = False
+            assert _associativity_failure(str(exc), table)
+        assert accepted == associative
+        verdicts.add(accepted)
+    assert verdicts == {True, False}
+
+
 def test_finite_table_rejects_bad_names():
     with pytest.raises(InvalidCayleyTable):
         GroupSpec.finite([[0, 1], [1, 0]], names=["e", "e"])

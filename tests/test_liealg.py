@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations, cycle
 
 import pytest
+from sympy import Matrix
 
 import gradedlie as gl
-from gradedlie.groups import GroupSpec
+from gradedlie.groups import GroupSpec, commute
 from gradedlie.liealg import (EndoMatrix, GradedLieAlgebra, GradedSpanError,
                               LieAlgebraError, basis_vector, bracket, center,
                               inner_derivations, is_graded_lie_subspace,
@@ -284,3 +286,55 @@ def test_span_check_closure_failure(sl2):
     report = is_graded_lie_subspace(sl2, [mats[0], mats[2]])
     assert not report.ok
     assert report.witness == (0, 1)
+
+
+def _reference_span_report(mats):
+    """(ok, witness, reason) of the graded-span check, with commutators
+    and span membership (by rank) over sympy's rationals."""
+    for i1, i2 in combinations(range(len(mats)), 2):
+        u, v = mats[i1], mats[i2]
+        a, b = Matrix(u.rows), Matrix(v.rows)
+        comm = a * b - b * a
+        if not commute(u.degree, v.degree):
+            if not comm.is_zero_matrix:
+                return (False, (i1, i2),
+                        "degrees do not commute but the commutator is nonzero")
+            continue
+        if comm.is_zero_matrix:
+            continue
+        pool = [Matrix(m.flatten()) for m in mats if m.degree == u.degree * v.degree]
+        flat = comm.reshape(len(comm), 1)
+        if Matrix.hstack(*pool, flat).rank() > (Matrix.hstack(*pool).rank() if pool else 0):
+            return (False, (i1, i2), "commutator escapes the span at the product degree")
+    return (True, None, None)
+
+
+def _sl2_rescaled(a, b):
+    """sl2 on the basis a*e, h, b*f: [ae, bf] = ab h."""
+    group = GroupSpec.free_abelian(1)
+    return GradedLieAlgebra(group, [group.parse(d) for d in ([1], [0], [-1])],
+                            {(0, 1): [(0, -2)], (0, 2): [(1, a * b)], (1, 2): [(2, -2)]},
+                            ["e", "h", "f"])
+
+
+@pytest.mark.parametrize("a, b", [(Fraction(1, 2), Fraction(1, 3)),
+                                  (Fraction(-3, 4), Fraction(5, 6))])
+def test_span_check_on_rational_entries_matches_reference(free3, a, b):
+    alg = _sl2_rescaled(a, b)
+    assert validate(alg).passed
+    ad_e, ad_h, ad_f = inner_derivations(alg)
+    assert any(x.denominator > 1 for m in (ad_e, ad_f) for x in m.flatten())
+    nine = gl.load_mats(FIXTURES / "mats_free3_all9.json", free3)
+    scaled_nine = [EndoMatrix.build([[x * s for x in row] for row in m.rows], m.degree, m.label)
+                   for m, s in zip(nine, cycle([a, b, a * b]))]
+    cases = [
+        (alg, [ad_e, ad_h, ad_f], (True, None, None)),
+        (alg, [ad_e, ad_h], (True, None, None)),
+        (alg, [ad_e, ad_f], (False, (0, 1), "commutator escapes the span at the product degree")),
+        (free3, scaled_nine, _reference_span_report(nine)),
+    ]
+    for algebra, mats, expected in cases:
+        report = is_graded_lie_subspace(algebra, mats)
+        assert (report.ok, report.witness, report.reason) == expected
+        assert _reference_span_report(mats) == expected
+    assert cases[-1][2][2] == "degrees do not commute but the commutator is nonzero"

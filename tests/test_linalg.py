@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
 
+import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from gradedlie.linalg import (det_int, in_span, independent_subset, nullspace,
-                              rank, row_hnf, rref, smith_normal_form, solve)
+from gradedlie import linalg, unigroup
+from gradedlie.groups import GroupSpec
+from gradedlie.liealg import GradedLieAlgebra, validate
+from gradedlie.linalg import (_check_smith, _mat_mul, det_int, in_span,
+                              independent_subset, nullspace, rank, row_hnf,
+                              rref, smith_normal_form, solve)
 
 
 def random_int_matrix(rng, rows, cols, bound=6):
@@ -165,6 +170,94 @@ def test_smith_unimodularity_on_fixture_style_matrices():
                 assert b % a == 0
             else:
                 assert b == 0
+
+
+def _matrix_lie_algebra(n, traceless):
+    """gl_n on the units E_ij, or sl_n with H_k = E_kk - E_k+1,k+1 in place
+    of the diagonal units, graded by e_i - e_j in Z^n."""
+    units = [(i, j) for i in range(n) for j in range(n) if i != j]
+    if traceless:
+        diagonal = [{(k, k): 1, (k + 1, k + 1): -1} for k in range(n - 1)]
+    else:
+        diagonal = [{(k, k): 1} for k in range(n)]
+    basis = [{u: 1} for u in units] + diagonal
+
+    def dense(x):
+        return [[x.get((i, j), 0) for j in range(n)] for i in range(n)]
+
+    def coordinates(c):
+        off = [c[i][j] for i, j in units]
+        if traceless:  # sum_k d_k H_k has diagonal entry d_i - d_(i-1)
+            return off + [sum(c[i][i] for i in range(k + 1)) for k in range(n - 1)]
+        return off + [c[k][k] for k in range(n)]
+
+    group = GroupSpec.free_abelian(n)
+    degrees = [group.parse([int(t == i) - int(t == j) for t in range(n)]) for i, j in units]
+    degrees += [group.identity()] * len(diagonal)
+    brackets = {}
+    for p in range(len(basis)):
+        for q in range(p + 1, len(basis)):
+            a, b = dense(basis[p]), dense(basis[q])
+            ab, ba = _mat_mul(a, b), _mat_mul(b, a)
+            comm = [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]
+            brackets[(p, q)] = [(k, c) for k, c in enumerate(coordinates(comm)) if c]
+    return GradedLieAlgebra(group, degrees, brackets)
+
+
+def _relation_matrices(monkeypatch, alg):
+    """The integer matrices that abelianizing alg's universal group passes
+    to the Smith form."""
+    seen = []
+
+    def record(rows):
+        seen.append([list(row) for row in rows])
+        return smith_normal_form(rows)
+
+    monkeypatch.setattr(unigroup, "smith_normal_form", record)
+    unigroup.abelianize(unigroup.universal_presentation(alg))
+    monkeypatch.undo()
+    return seen
+
+
+def test_smith_matches_sympy_with_unimodular_transforms(monkeypatch):
+    rng = random.Random(23)
+    matrices = [random_int_matrix(rng, rng.randrange(1, 9), rng.randrange(1, 9))
+                for _ in range(40)]
+    for traceless in (False, True):  # gl4 and sl4: 13 x 84
+        alg = _matrix_lie_algebra(4, traceless)
+        assert validate(alg).passed
+        relations = _relation_matrices(monkeypatch, alg)
+        assert [(len(m), len(m[0])) for m in relations] == [(13, 84)]
+        matrices += relations
+    for m in matrices:
+        form = smith_normal_form(m)
+        ref = sympy_snf(Matrix(m))
+        ref_diag = [abs(int(ref[i, i])) for i in range(min(ref.shape))]
+        assert sorted(d for d in form.diag if d) == sorted(d for d in ref_diag if d)
+        d = _mat_mul(_mat_mul(form.U, m), form.V)
+        assert [d[i][i] for i in range(len(form.diag))] == form.diag
+        # the tracked-inverse certificate agrees with the determinant
+        assert det_int(form.U) in (1, -1)
+        assert det_int(form.V) in (1, -1)
+
+
+def test_smith_check_rejects_corrupted_transforms_and_inverses(monkeypatch):
+    captured = []
+    monkeypatch.setattr(linalg, "_check_smith",
+                        lambda *args: captured.append(args) or _check_smith(*args))
+    smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    args = list(captured[0])  # orig, D, U, V, U^-1, V^-1
+    _check_smith(*args)
+    for pos in range(2, 6):  # U, V, U^-1, V^-1 in turn
+        bad = [list(row) for row in args[pos]]
+        bad[0][0] += 1
+        with pytest.raises(ArithmeticError):
+            _check_smith(*args[:pos], bad, *args[pos + 1:])
+    # U*M*V = D holds for U = [2] on the zero matrix, but U is not unimodular
+    with pytest.raises(ArithmeticError, match="not unimodular"):
+        _check_smith([[0]], [[0]], [[2]], [[1]], [[1]], [[1]])
+    with pytest.raises(ArithmeticError, match="not unimodular"):
+        _check_smith([[0]], [[0]], [[1]], [[3]], [[1]], [[1]])
 
 
 # -- hermite row normalization --------------------------------------------------------
