@@ -111,7 +111,7 @@ def load_algebra(path) -> GradedLieAlgebra:
     for pos, entry in enumerate(basis):
         where = f"basis[{pos}]"
         _typed(entry, dict, path, where)
-        names.append(str(_require(entry, "name", path, where)))
+        names.append(_typed(_require(entry, "name", path, where), str, path, f"{where}.name"))
         try:
             degrees.append(group.parse(_require(entry, "degree", path, where)))
         except GroupError as exc:
@@ -158,25 +158,23 @@ def parse_algebra(path) -> GradedLieAlgebra:
 
 
 def parse_word(alg: GradedLieAlgebra, text: Union[str, list]) -> Tuple[int, ...]:
-    """A word is an index list like "[2,0,1]" or space-separated basis
-    names like "f h e"."""
-    if isinstance(text, list):
-        tokens = [int(t) for t in text]
-    else:
+    """A word is an index list like "[2,0,1]" (integers only) or
+    space-separated basis names like "f h e"."""
+    if isinstance(text, str):
         text = text.strip()
-        if text.startswith("["):
-            try:
-                tokens = [int(t) for t in json.loads(text)]
-            except (json.JSONDecodeError, TypeError, ValueError):
-                raise AlgebraFileError("<word>", f"bad index list {text!r}") from None
-        elif not text:
-            tokens = []
-        else:
-            tokens = []
-            for name in text.split():
-                if name not in alg.names:
-                    raise AlgebraFileError("<word>", f"unknown basis name {name!r}")
-                tokens.append(alg.names.index(name))
+    if isinstance(text, str) and not text.startswith("["):
+        tokens = []
+        for name in text.split():
+            if name not in alg.names:
+                raise AlgebraFileError("<word>", f"unknown basis name {name!r}")
+            tokens.append(alg.names.index(name))
+    else:
+        try:
+            tokens = json.loads(text) if isinstance(text, str) else text
+        except json.JSONDecodeError:
+            tokens = None
+        if not isinstance(tokens, list) or not all(type(t) is int for t in tokens):
+            raise AlgebraFileError("<word>", f"bad index list {text!r}")
     for i in tokens:
         if not 0 <= i < alg.n:
             raise AlgebraFileError("<word>", f"basis index {i} out of range")

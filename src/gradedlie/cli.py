@@ -274,13 +274,10 @@ def _cmd_coarsen_check(args) -> Tuple[bool, List[str], List[dict]]:
     lines, records = [], []
     if report.ok:
         lines.append("coarsening: valid")
-        coarse_spec = report.coarsening.support_map[0][1].spec \
-            if report.coarsening.support_map else None
         for fine, coarse in report.coarsening.support_map:
-            lines.append(f"p({alg.group.format(fine)}) = {coarse_spec.format(coarse)}")
+            lines.append(f"p({alg.group.format(fine)}) = {coarse}")
             records.append({"record": "support_map",
-                            "fine": alg.group.format(fine),
-                            "coarse": coarse_spec.format(coarse)})
+                            "fine": alg.group.format(fine), "coarse": str(coarse)})
         records.append({"record": "verdict", "valid": True})
     else:
         i, j = report.witness

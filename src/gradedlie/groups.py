@@ -9,8 +9,8 @@ equality and all predicates (identity, commutation) are exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 FINITE = "finite"
 FREE = "free"
@@ -40,12 +40,17 @@ class GroupSpec:
     Exactly one family per spec: ``finite`` carries a Cayley table (index 0
     is the identity) and optional element names; ``free`` and
     ``free_abelian`` carry a rank; ``free_product_cyclic`` carries the list
-    of cyclic factor orders (each >= 2).
+    of cyclic factor orders (each >= 2).  Free groups and free products of
+    cyclic groups share one word backend: reduced words of (generator,
+    exponent) syllables, exponents taken modulo the factor order if any.
+
+    The hash leaves out the table and names (equality still compares them),
+    so hashing an element does not hash its group's Cayley table.
     """
 
     kind: str
-    table: Optional[tuple] = None
-    names: Optional[tuple] = None
+    table: Optional[tuple] = field(default=None, hash=False)
+    names: Optional[tuple] = field(default=None, hash=False)
     rank: int = 0
     orders: tuple = ()
 
@@ -89,20 +94,14 @@ class GroupSpec:
         i-th standard basis vector in the free abelian backend."""
         if not 0 <= i < self.rank:
             raise GroupError(f"generator index {i} out of range for rank {self.rank}")
-        if self.kind == FREE:
-            if exponent == 0:
-                return self.identity()
-            return GroupElement(self, ((i, exponent),))
+        if self.kind == FINITE:
+            raise GroupError("finite groups have no distinguished generators; use element()")
         if self.kind == FREE_ABELIAN:
             vec = [0] * self.rank
             vec[i] = exponent
             return GroupElement(self, tuple(vec))
-        if self.kind == FREE_PRODUCT_CYCLIC:
-            e = exponent % self.orders[i]
-            if e == 0:
-                return self.identity()
-            return GroupElement(self, ((i, e),))
-        raise GroupError("finite groups have no distinguished generators; use element()")
+        e = self._exponent(i, exponent)
+        return GroupElement(self, ((i, e),) if e else ())
 
     def element(self, index: int) -> "GroupElement":
         if self.kind != FINITE:
@@ -132,7 +131,7 @@ class GroupSpec:
         if self.kind == FINITE:
             if isinstance(literal, str) and self.names and literal in self.names:
                 return GroupElement(self, self.names.index(literal))
-            return self.element(int(literal))
+            return self.element(int(literal) if isinstance(literal, str) else _integer(literal))
         if self.kind == FREE:
             if literal == "":
                 return self.identity()
@@ -141,14 +140,12 @@ class GroupSpec:
             return self.product(self._parse_free_token(t) for t in literal.split())
         if self.kind == FREE_ABELIAN:
             vec = json.loads(literal) if isinstance(literal, str) else list(literal)
-            vec = [int(x) for x in vec]
+            vec = [_integer(x) for x in vec]
             if len(vec) != self.rank:
                 raise GroupError(f"expected a vector of length {self.rank}, got {vec}")
             return GroupElement(self, tuple(vec))
-        if self.kind == FREE_PRODUCT_CYCLIC:
-            syllables = json.loads(literal) if isinstance(literal, str) else list(literal)
-            return self.product(self.generator(int(f), int(e)) for f, e in syllables)
-        raise GroupError(f"unknown backend {self.kind!r}")
+        syllables = json.loads(literal) if isinstance(literal, str) else list(literal)
+        return self.product(self.generator(_integer(f), _integer(e)) for f, e in syllables)
 
     def _parse_free_token(self, token: str) -> "GroupElement":
         if token == "1":
@@ -175,11 +172,9 @@ class GroupSpec:
                             for g, e in elem.data)
         if self.kind == FREE_ABELIAN:
             return "[" + ",".join(str(x) for x in elem.data) + "]"
-        if self.kind == FREE_PRODUCT_CYCLIC:
-            if not elem.data:
-                return "1"
-            return "[" + ",".join(f"[{f},{e}]" for f, e in elem.data) + "]"
-        raise GroupError(f"unknown backend {self.kind!r}")
+        if not elem.data:
+            return "1"
+        return "[" + ",".join(f"[{f},{e}]" for f, e in elem.data) + "]"
 
     def _free_gen_name(self, i: int) -> str:
         return chr(ord("a") + i) if self.rank <= 26 else f"x{i + 1}"
@@ -198,11 +193,7 @@ class GroupSpec:
             return GroupElement(self, self.table[a.data][b.data])
         if self.kind == FREE_ABELIAN:
             return GroupElement(self, tuple(x + y for x, y in zip(a.data, b.data)))
-        if self.kind == FREE:
-            return GroupElement(self, _merge_free(a.data, b.data))
-        if self.kind == FREE_PRODUCT_CYCLIC:
-            return GroupElement(self, _merge_product(a.data, b.data, self.orders))
-        raise GroupError(f"unknown backend {self.kind!r}")
+        return GroupElement(self, self._merge(a.data, b.data))
 
     def product(self, elems: Iterable["GroupElement"]) -> "GroupElement":
         """Ordered product of the elements; the identity when there are none."""
@@ -218,12 +209,33 @@ class GroupSpec:
             return GroupElement(self, row.index(0))
         if self.kind == FREE_ABELIAN:
             return GroupElement(self, tuple(-x for x in a.data))
-        if self.kind == FREE:
-            return GroupElement(self, tuple((g, -e) for g, e in reversed(a.data)))
-        if self.kind == FREE_PRODUCT_CYCLIC:
-            return GroupElement(self,
-                                tuple((f, self.orders[f] - e) for f, e in reversed(a.data)))
-        raise GroupError(f"unknown backend {self.kind!r}")
+        return GroupElement(self, tuple((g, self._exponent(g, -e)) for g, e in reversed(a.data)))
+
+    # -- words (free groups and free products of cyclic groups) -------------
+
+    def _exponent(self, i: int, e: int) -> int:
+        """The exponent e of generator i in normal form: reduced modulo the
+        factor order in a free product of cyclic groups, unchanged in a
+        free group (which has no orders)."""
+        return e % self.orders[i] if self.orders else e
+
+    def _merge(self, left: tuple, right: tuple) -> tuple:
+        """Concatenate two reduced words, cancelling at the seam and
+        dropping syllables whose exponent becomes 0."""
+        stack = list(left)
+        pos = 0
+        while stack and pos < len(right):
+            g1, e1 = stack[-1]
+            g2, e2 = right[pos]
+            if g1 != g2:
+                break
+            stack.pop()
+            pos += 1
+            e = self._exponent(g1, e1 + e2)
+            if e != 0:
+                stack.append((g1, e))
+                break
+        return tuple(stack) + right[pos:]
 
 
 @dataclass(frozen=True)
@@ -251,45 +263,6 @@ class GroupElement:
         return self.spec.format(self)
 
 
-# -- word reduction ---------------------------------------------------------
-
-def _merge_free(left: tuple, right: tuple) -> tuple:
-    """Concatenate two reduced free-group words, cancelling at the seam."""
-    stack = list(left)
-    pos = 0
-    while stack and pos < len(right):
-        g1, e1 = stack[-1]
-        g2, e2 = right[pos]
-        if g1 != g2:
-            break
-        stack.pop()
-        pos += 1
-        e = e1 + e2
-        if e != 0:
-            stack.append((g1, e))
-            break
-    return tuple(stack) + right[pos:]
-
-
-def _merge_product(left: tuple, right: tuple, orders: tuple) -> tuple:
-    """Concatenate free-product words, reducing exponents modulo the factor
-    order and dropping syllables that collapse to the identity."""
-    stack = list(left)
-    pos = 0
-    while stack and pos < len(right):
-        f1, e1 = stack[-1]
-        f2, e2 = right[pos]
-        if f1 != f2:
-            break
-        stack.pop()
-        pos += 1
-        e = (e1 + e2) % orders[f1]
-        if e != 0:
-            stack.append((f1, e))
-            break
-    return tuple(stack) + right[pos:]
-
-
 # -- module-level operations -------------------------------------------------
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -300,13 +273,9 @@ def inv(a: GroupElement) -> GroupElement:
     return a.spec.inv(a)
 
 
-def is_identity(a: GroupElement) -> bool:
-    return a.is_identity()
-
-
 def commute(g: GroupElement, h: GroupElement) -> bool:
-    """True iff the commutator g h g^-1 h^-1 is the identity."""
-    return (g * h * g.inverse() * h.inverse()).is_identity()
+    """True iff g h = h g."""
+    return g * h == h * g
 
 
 def generates_abelian_subgroup(elements: Iterable[GroupElement]) -> bool:
@@ -327,19 +296,18 @@ def _letters_commute(degrees: Sequence[GroupElement], word: Iterable[int]) -> bo
 
 
 def _degree_classes(degrees: Sequence[GroupElement]) -> List[Tuple[GroupElement, List[int]]]:
-    """Equal degrees as (degree, positions) pairs in first-appearance order.
-
-    Compares with == and never hashes: hashing a finite-group element hashes
-    its whole Cayley table."""
-    classes: List[Tuple[GroupElement, List[int]]] = []
+    """Equal degrees as (degree, positions) pairs in first-appearance order."""
+    classes: Dict[GroupElement, List[int]] = {}
     for pos, d in enumerate(degrees):
-        for deg, members in classes:
-            if deg == d:
-                members.append(pos)
-                break
-        else:
-            classes.append((d, [pos]))
-    return classes
+        classes.setdefault(d, []).append(pos)
+    return list(classes.items())
+
+
+def _integer(x) -> int:
+    """x if it is an integer; a float or a bool (JSON true/false) is not."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
 
 
 # -- finite table validation --------------------------------------------------

@@ -174,6 +174,24 @@ def test_cli_malformed_group_or_rows_exits_2_with_location(tmp_path, command, fl
     test_cli_malformed_file_exits_2_with_location(tmp_path, command, flag, content, location)
 
 
+MALFORMED_BASIS = [
+    pytest.param("validate", "--algebra",
+                 _sl2_edited(lambda d: d["basis"][0].update(degree=[2.5])),
+                 "basis[0]: bad free_abelian element literal", id="degree-float"),
+    pytest.param("validate", "--algebra",
+                 _sl2_edited(lambda d: d["basis"][0].update(degree=[True])),
+                 "basis[0]: bad free_abelian element literal", id="degree-bool"),
+    pytest.param("validate", "--algebra",
+                 _sl2_edited(lambda d: d["basis"][0].update(name=None)),
+                 "basis[0].name must be a string, got None", id="name-null"),
+]
+
+
+@pytest.mark.parametrize("command, flag, content, location", MALFORMED_BASIS)
+def test_cli_malformed_basis_exits_2_with_location(tmp_path, command, flag, content, location):
+    test_cli_malformed_file_exits_2_with_location(tmp_path, command, flag, content, location)
+
+
 def test_parse_word_forms(sl2):
     assert parse_word(sl2, "[2,0,1]") == (2, 0, 1)
     assert parse_word(sl2, "f h e") == (2, 1, 0)
@@ -205,6 +223,15 @@ def test_cli_normalize_wrong_word_count(capsys):
                         "--word", "e", "--word", "f"], capsys)
     assert code == 2
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize("word", ["[0.5, 1]", "[true]"])
+def test_cli_word_index_list_takes_integers_only(word, capsys):
+    code, out, err = run(["normalize", "--algebra", str(FIXTURES / "sl2.alg"),
+                          "--word", word], capsys)
+    assert code == 2
+    assert f"<word>: bad index list {word!r}" in err
+    assert out == ""
 
 
 def test_cli_unknown_command_exits_2(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gradedlie.groups import (BackendMismatch, GroupSpec, InvalidCayleyTable,
+from gradedlie.groups import (BackendMismatch, GroupError, GroupSpec, InvalidCayleyTable,
                               commute, generates_abelian_subgroup, inv, mul)
 
 
@@ -224,6 +224,22 @@ def test_parse_format_round_trip():
             assert spec.parse(spec.format(x)) == x
 
 
+def test_literals_take_json_integers_only():
+    fab = GroupSpec.free_abelian(2)
+    fpc = GroupSpec.free_product_cyclic([2, 3])
+    s3 = s3_spec()
+    for spec, literal in [(fab, [2.5, 0]), (fab, [True, 0]), (fab, "[1.0, 0]"),
+                          (fpc, [[0, 1.0]]), (fpc, [[False, 1]]), (fpc, "[[1, true]]"),
+                          (s3, 2.0), (s3, True)]:
+        with pytest.raises(GroupError, match=f"bad {spec.kind} element literal"):
+            spec.parse(literal)
+    assert fab.parse("[1,0]") == fab.generator(0)
+    assert fpc.parse("[[1,2]]") == fpc.generator(1, 2)
+    free = GroupSpec.free(2)
+    assert free.parse("a b^-1") == free.generator(0) * free.generator(1, -1)
+    assert s3.parse("(012)") == s3.parse("3") == s3.parse(3) == s3.element(3)
+
+
 def test_parse_x_numbered_generators():
     g = GroupSpec.free(30)  # falls back to x1..x30 naming
     x = g.generator(27, -2)
@@ -268,6 +284,42 @@ def test_free_abelian_commute_constant_true():
     rng = random.Random(17)
     for _ in range(100):
         assert commute(random_element(g, rng), random_element(g, rng))
+
+
+def test_commute_matches_commutator_oracle():
+    def oracle(g, h):
+        return (g * h * g.inverse() * h.inverse()).is_identity()
+
+    rng = random.Random(29)
+    for spec in ALL_SPECS:
+        for _ in range(200):
+            g, h = random_element(spec, rng), random_element(spec, rng)
+            for other in (h, g ** rng.randint(-3, 3), h * g):
+                assert commute(g, other) == oracle(g, other), (g, other)
+
+
+def test_specs_from_equal_data_are_equal_and_hash_equally():
+    pairs = [(s3_spec(), s3_spec()), (GroupSpec.free(3), GroupSpec.free(3)),
+             (GroupSpec.free_abelian(2), GroupSpec.free_abelian(2)),
+             (GroupSpec.free_product_cyclic([2, 3, 4]), GroupSpec.free_product_cyclic([2, 3, 4]))]
+    rng = random.Random(31)
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+        for _ in range(20):
+            x = random_element(a, rng)
+            y = b.parse(a.format(x))
+            assert x == y and hash(x) == hash(y)
+
+
+def test_finite_specs_with_different_tables_differ():
+    z4 = GroupSpec.finite([[(a + b) % 4 for b in range(4)] for a in range(4)])
+    klein = GroupSpec.finite([[a ^ b for b in range(4)] for a in range(4)])
+    assert z4.rank == klein.rank
+    assert z4 != klein
+    assert z4.element(1) != klein.element(1)
+    assert len({z4.element(1), klein.element(1)}) == 2
+    with pytest.raises(BackendMismatch):
+        z4.element(1) * klein.element(1)
 
 
 def _free_powers(word, bound=6):
