@@ -111,7 +111,13 @@ def load_algebra(path) -> GradedLieAlgebra:
     for pos, entry in enumerate(basis):
         where = f"basis[{pos}]"
         _typed(entry, dict, path, where)
-        names.append(_typed(_require(entry, "name", path, where), str, path, f"{where}.name"))
+        name = _typed(_require(entry, "name", path, where), str, path, f"{where}.name")
+        # a word renders as its letters' names joined by spaces, and
+        # parse_word splits on whitespace and reads a leading "[" as indices
+        if name.split() != [name] or name.startswith("["):
+            raise AlgebraFileError(path, f"{where}.name must be non-empty, without "
+                                         f"whitespace and not start with '[', got {name!r}")
+        names.append(name)
         try:
             degrees.append(group.parse(_require(entry, "degree", path, where)))
         except GroupError as exc:

@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 from . import freelie, liealg, pbw, unigroup
 from .algfile import (AlgebraFileError, ValidationFailure, load_algebra,
                       load_mats, load_relabel, parse_algebra, parse_word)
-from .freelie import FreeLieError, GradedAlphabet
+from .freelie import FreeLieError
 from .groups import GroupError
 from .liealg import GradedLieAlgebra, LieAlgebraError, validate
 from .unigroup import CoarseningError
@@ -81,10 +81,6 @@ def _parser() -> argparse.ArgumentParser:
 
 # -- rendering helpers ---------------------------------------------------------
 
-def _mono_name(alg: GradedLieAlgebra, mono: Tuple[int, ...]) -> str:
-    return " ".join(alg.name(i) for i in mono) if mono else "1"
-
-
 def _vec_render(alg: GradedLieAlgebra, vec: Dict[int, Fraction]) -> str:
     if not vec:
         return "0"
@@ -105,8 +101,8 @@ def _element_result(alg: GradedLieAlgebra,
 
 def _monomial_listing(alg: GradedLieAlgebra, monos: List[Tuple[int, ...]],
                       count_note: str = "") -> Tuple[bool, List[str], List[dict]]:
-    lines = [_mono_name(alg, m) for m in monos] + [f"count: {len(monos)}{count_note}"]
-    records = [{"record": "monomial", "word": list(m), "name": _mono_name(alg, m)}
+    lines = [alg.word_name(m) for m in monos] + [f"count: {len(monos)}{count_note}"]
+    records = [{"record": "monomial", "word": list(m), "name": alg.word_name(m)}
                for m in monos]
     records.append({"record": "count", "value": len(monos)})
     return True, lines, records
@@ -175,20 +171,19 @@ def _cmd_embed_check(args) -> Tuple[bool, List[str], List[dict]]:
 
 def _cmd_free_lie(args) -> Tuple[bool, List[str], List[dict]]:
     alg = parse_algebra(args.algebra)
-    alphabet = GradedAlphabet.from_algebra(alg)
-    elements = freelie.lyndon_basis(alphabet, args.max_len)
+    elements = freelie.lyndon_basis(alg, args.max_len)
     lines = []
     records = []
     for length in range(1, args.max_len + 1):
         of_len = [e for e in elements if len(e) == length]
-        names = " ".join("(" + alphabet.word_name(e.word).replace(" ", ".") + ")"
+        names = " ".join("(" + alg.word_name(e.word).replace(" ", ".") + ")"
                          for e in of_len)
         lines.append(f"length {length:2d}  count {len(of_len):3d}  {names}")
         for e in of_len:
             records.append({"record": "lyndon", "length": length,
                             "word": list(e.word),
-                            "name": alphabet.word_name(e.word),
-                            "degree": alphabet.group.format(e.degree)})
+                            "name": alg.word_name(e.word),
+                            "degree": alg.group.format(e.degree)})
     lines.append(f"total: {len(elements)}")
     records.append({"record": "count", "value": len(elements)})
     return True, lines, records
@@ -196,8 +191,7 @@ def _cmd_free_lie(args) -> Tuple[bool, List[str], List[dict]]:
 
 def _cmd_witt_check(args) -> Tuple[bool, List[str], List[dict]]:
     alg = parse_algebra(args.algebra)
-    alphabet = GradedAlphabet.from_algebra(alg)
-    report = freelie.witt_check(alphabet, args.max_len)
+    report = freelie.witt_check(alg, args.max_len)
     lines = ["length  lyndon  pbw_rank  monomial_dim  status"]
     records = []
     for row in report.rows:
@@ -214,14 +208,13 @@ def _cmd_witt_check(args) -> Tuple[bool, List[str], List[dict]]:
 
 def _cmd_psi_check(args) -> Tuple[bool, List[str], List[dict]]:
     alg = parse_algebra(args.algebra)
-    alphabet = GradedAlphabet.from_algebra(alg)
-    report = freelie.abelian_lift_check(alphabet, args.max_len)
+    report = freelie.abelian_lift_check(alg, args.max_len)
     lines = [f"words checked: {report.words_checked}",
              f"violations: {len(report.violations)}"]
     records = [{"record": "lift", "checked": report.words_checked,
                 "violations": len(report.violations)}]
     for v in report.violations:
-        lines.append(f"VIOLATION {alphabet.word_name(v.word)}: {v.reason}")
+        lines.append(f"VIOLATION {alg.word_name(v.word)}: {v.reason}")
         records.append({"record": "violation", "word": list(v.word),
                         "reason": v.reason})
     return report.passed, lines, records

@@ -16,8 +16,8 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .groups import (GroupElement, GroupSpec, _degree_classes, _letters_commute,
-                     generates_abelian_subgroup)
+from .groups import GroupElement, _degree_classes, generates_abelian_subgroup
+from .liealg import GradedAlphabet
 from .linalg import _accumulate, _sparse_add, _sparse_scale
 
 Word = Tuple[int, ...]
@@ -25,46 +25,7 @@ Expansion = Dict[Word, Fraction]
 
 
 class FreeLieError(ValueError):
-    """Malformed alphabet or an out-of-range request."""
-
-
-@dataclass(frozen=True)
-class GradedAlphabet:
-    """Finitely many variables with assigned degrees in one group."""
-
-    group: GroupSpec
-    names: Tuple[str, ...]
-    degrees: Tuple[GroupElement, ...]
-
-    def __post_init__(self):
-        if len(self.names) != len(self.degrees):
-            raise FreeLieError("names and degrees differ in length")
-        for d in self.degrees:
-            if d.spec != self.group:
-                raise FreeLieError("variable degree from a different group backend")
-
-    @staticmethod
-    def build(group: GroupSpec, variables: Sequence[Tuple[str, GroupElement]]) -> "GradedAlphabet":
-        return GradedAlphabet(group, tuple(n for n, _ in variables),
-                              tuple(d for _, d in variables))
-
-    @staticmethod
-    def from_algebra(alg) -> "GradedAlphabet":
-        """Reuse an algebra's basis names and degrees as an alphabet."""
-        return GradedAlphabet(alg.group, alg.names, alg.degrees)
-
-    @property
-    def size(self) -> int:
-        return len(self.names)
-
-    def word_name(self, word: Word) -> str:
-        return " ".join(self.names[i] for i in word) if word else "1"
-
-    def word_degree(self, word: Word) -> GroupElement:
-        return self.group.product(self.degrees[i] for i in word)
-
-    def word_is_gas(self, word: Word) -> bool:
-        return _letters_commute(self.degrees, word)
+    """An out-of-range request."""
 
 
 @dataclass
@@ -210,8 +171,9 @@ def witt_check(alphabet: GradedAlphabet, max_len: int) -> WittReport:
         space = free_monomial_basis(alphabet, d)
         vectors = []
         for combo in _pbw_products(elements, d):
-            degs = set(elements[p].degree for p in combo)
-            if not generates_abelian_subgroup(degs):
+            # a product's words all hold its letters, so one with
+            # non-commuting letters projects to zero
+            if not alphabet.word_is_gas([i for p in combo for i in elements[p].word]):
                 continue
             expansion: Expansion = {(): Fraction(1)}
             for p in combo:
@@ -237,7 +199,7 @@ def degree_product(degrees: Sequence[GroupElement],
     well-defined product of the commutative exponent data exists)."""
     if not degrees and not indices:
         raise FreeLieError("empty degree list")
-    if not _letters_commute(degrees, indices):
+    if not generates_abelian_subgroup({degrees[i] for i in indices}):
         return None
     referenced = [degrees[i] for i in indices]
     return (referenced or degrees)[0].spec.product(referenced)
@@ -269,7 +231,8 @@ def abelian_lift_check(alphabet: GradedAlphabet, max_len: int) -> LiftReport:
     if max_len < 1:
         raise FreeLieError("max_len must be >= 1")
     classes = _degree_classes(alphabet.degrees)
-    distinct = [d for d, _ in classes]
+    lifted_alphabet = GradedAlphabet(alphabet.group, None, [d for d, _ in classes])
+    letter_class = {i: cls for cls, (_, members) in enumerate(classes) for i in members}
 
     violations: List[LiftViolation] = []
     checked = 0
@@ -278,12 +241,11 @@ def abelian_lift_check(alphabet: GradedAlphabet, max_len: int) -> LiftReport:
         for word in product(range(alphabet.size), repeat=length):
             checked += 1
             survives = word in space.index
-            # lifted degree of the word: exponent vector over distinct
-            # degrees, fed to the partial product map in class order
-            exponents: List[int] = []
-            for cls, (_, members) in enumerate(classes):
-                exponents.extend([cls] * sum(word.count(i) for i in members))
-            lifted = degree_product(distinct, exponents)
+            # lifted degree of the word: its letters' degree classes, fed to
+            # the partial product map in class order
+            lifted_word = sorted(letter_class[i] for i in word)
+            lifted = (lifted_alphabet.word_degree(lifted_word)
+                      if lifted_alphabet.word_is_gas(lifted_word) else None)
             if survives != (lifted is not None):
                 violations.append(LiftViolation(
                     word, "projection and lifted-degree domain disagree"))

@@ -9,6 +9,7 @@ equality and all predicates (identity, commutation) are exact.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -56,26 +57,27 @@ class GroupSpec:
 
     @staticmethod
     def finite(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None) -> "GroupSpec":
-        tbl = tuple(tuple(int(x) for x in row) for row in table)
+        tbl = tuple(tuple(_whole(x, f"Cayley table row {r}") for x in row)
+                    for r, row in enumerate(table))
         nm = tuple(names) if names is not None else None
         _check_cayley_table(tbl, nm)
         return GroupSpec(kind=FINITE, table=tbl, names=nm, rank=len(tbl))
 
     @staticmethod
     def free(rank: int) -> "GroupSpec":
-        if rank < 0:
+        if _whole(rank, "free group rank") < 0:
             raise GroupError(f"free group rank must be >= 0, got {rank}")
         return GroupSpec(kind=FREE, rank=rank)
 
     @staticmethod
     def free_abelian(rank: int) -> "GroupSpec":
-        if rank < 0:
+        if _whole(rank, "free abelian rank") < 0:
             raise GroupError(f"free abelian rank must be >= 0, got {rank}")
         return GroupSpec(kind=FREE_ABELIAN, rank=rank)
 
     @staticmethod
     def free_product_cyclic(orders: Sequence[int]) -> "GroupSpec":
-        ords = tuple(int(o) for o in orders)
+        ords = tuple(_whole(o, "cyclic factor order") for o in orders)
         if any(o < 2 for o in ords):
             raise GroupError(f"cyclic factor orders must all be >= 2, got {ords}")
         return GroupSpec(kind=FREE_PRODUCT_CYCLIC, orders=ords, rank=len(ords))
@@ -131,7 +133,8 @@ class GroupSpec:
         if self.kind == FINITE:
             if isinstance(literal, str) and self.names and literal in self.names:
                 return GroupElement(self, self.names.index(literal))
-            return self.element(int(literal) if isinstance(literal, str) else _integer(literal))
+            return self.element(_int_text(literal) if isinstance(literal, str)
+                                else _integer(literal))
         if self.kind == FREE:
             if literal == "":
                 return self.identity()
@@ -151,10 +154,10 @@ class GroupSpec:
         if token == "1":
             return self.identity()
         name, _, exp_s = token.partition("^")
-        exponent = int(exp_s) if exp_s else 1
+        exponent = _int_text(exp_s) if exp_s else 1
         if len(name) == 1 and "a" <= name <= "z":
             idx = ord(name) - ord("a")
-        elif name.startswith("x") and name[1:].isdigit():
+        elif re.fullmatch(r"x[0-9]+", name):
             idx = int(name[1:]) - 1
         else:
             raise GroupError(f"bad free-group generator token {token!r}")
@@ -289,12 +292,6 @@ def generates_abelian_subgroup(elements: Iterable[GroupElement]) -> bool:
     return True
 
 
-def _letters_commute(degrees: Sequence[GroupElement], word: Iterable[int]) -> bool:
-    """True iff the degrees of the word's letters generate an abelian
-    subgroup (duplicates are irrelevant, so the distinct degrees decide)."""
-    return generates_abelian_subgroup(set(degrees[i] for i in word))
-
-
 def _degree_classes(degrees: Sequence[GroupElement]) -> List[Tuple[GroupElement, List[int]]]:
     """Equal degrees as (degree, positions) pairs in first-appearance order."""
     classes: Dict[GroupElement, List[int]] = {}
@@ -308,6 +305,22 @@ def _integer(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"expected an integer, got {x!r}")
     return x
+
+
+def _whole(x, what: str) -> int:
+    """x if it is an integer, else a GroupError naming what x is."""
+    try:
+        return _integer(x)
+    except TypeError as exc:
+        raise GroupError(f"{what}: {exc}") from None
+
+
+def _int_text(text: str) -> int:
+    """The integer spelled by an optional minus sign and ASCII digits; int()
+    alone also takes underscores, a plus sign and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 # -- finite table validation --------------------------------------------------

@@ -1,8 +1,9 @@
 """Graded Lie algebras presented by homogeneous structure constants.
 
-An algebra is a finite homogeneous basis with degrees in a group backend and
-a sparse table of exact rational structure constants stored for i < j only;
-antisymmetry is representational and the diagonal is identically zero.
+An algebra is a graded alphabet (a finite homogeneous basis with names and
+degrees in a group backend) plus a sparse table of exact rational structure
+constants stored for i < j only; antisymmetry is representational and the
+diagonal is identically zero.
 Validation, the bilinear bracket, the (graded) center, inner derivations and
 the graded-Lie-subspace check on endomorphism spans all live here.
 """
@@ -11,8 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from . import linalg
 from .groups import GroupElement, GroupSpec, _degree_classes, commute
@@ -29,17 +32,17 @@ class GradedSpanError(LieAlgebraError):
     """An endomorphism violates its declared degree or block structure."""
 
 
-class GradedLieAlgebra:
-    """Structure-constant presentation of a graded Lie algebra.
+class GradedAlphabet:
+    """Finitely many letters (basis elements or variables) with names and
+    degrees in one group.  Words are sequences of letter indices.
 
-    brackets maps ordered pairs (i, j) with i < j to the expansion of
-    [e_i, e_j] as (k, coefficient) terms; [e_j, e_i] is read off by sign.
-    Instances are immutable after construction.
+    Which letters have commuting degrees is a table built on first use from
+    one commute call per ordered pair of distinct degrees.  Equality is
+    identity, so two algebras never compare equal by their letters alone.
     """
 
-    def __init__(self, group: GroupSpec, degrees: Sequence[GroupElement],
-                 brackets: Mapping[Tuple[int, int], Iterable],
-                 names: Optional[Sequence[str]] = None):
+    def __init__(self, group: GroupSpec, names: Optional[Sequence[str]],
+                 degrees: Sequence[GroupElement]):
         self.group = group
         self.degrees = tuple(degrees)
         n = len(self.degrees)
@@ -54,6 +57,71 @@ class GradedLieAlgebra:
                 raise LieAlgebraError(f"{len(names)} names for {n} basis elements")
         self.names = names
 
+    @staticmethod
+    def build(group: GroupSpec,
+              variables: Sequence[Tuple[str, GroupElement]]) -> "GradedAlphabet":
+        return GradedAlphabet(group, [n for n, _ in variables], [d for _, d in variables])
+
+    @staticmethod
+    def from_algebra(alg: "GradedAlphabet") -> "GradedAlphabet":
+        """An algebra's basis as an alphabet: the algebra itself."""
+        return alg
+
+    @property
+    def n(self) -> int:
+        return len(self.degrees)
+
+    size = n
+
+    def degree(self, i: int) -> GroupElement:
+        return self.degrees[i]
+
+    def name(self, i: int) -> str:
+        return self.names[i]
+
+    @cached_property
+    def _commuting(self) -> Tuple[FrozenSet[int], ...]:
+        """Letter i -> the letters whose degree commutes with deg i."""
+        classes = _degree_classes(self.degrees)
+        table: List[FrozenSet[int]] = [frozenset()] * self.n
+        for d, members in classes:
+            friends = frozenset(j for e, others in classes if commute(d, e) for j in others)
+            for i in members:
+                table[i] = friends
+        return tuple(table)
+
+    def letters_commute(self, i: int, j: int) -> bool:
+        return j in self._commuting[i]
+
+    def word_name(self, word: Sequence[int]) -> str:
+        return " ".join(self.names[i] for i in word) if word else "1"
+
+    def word_degree(self, word: Sequence[int]) -> GroupElement:
+        """Ordered product of the letter degrees."""
+        return self.group.product(self.degrees[i] for i in word)
+
+    def word_is_gas(self, word: Sequence[int]) -> bool:
+        """True iff the degree multiset of the word generates an abelian
+        subgroup, that is iff its letters pairwise commute."""
+        letters = set(word)
+        table = self._commuting
+        return all(letters <= table[i] for i in letters)
+
+
+class GradedLieAlgebra(GradedAlphabet):
+    """Structure-constant presentation of a graded Lie algebra: a graded
+    alphabet (its basis) plus brackets.
+
+    brackets maps ordered pairs (i, j) with i < j to the expansion of
+    [e_i, e_j] as (k, coefficient) terms; [e_j, e_i] is read off by sign.
+    Instances are immutable after construction.
+    """
+
+    def __init__(self, group: GroupSpec, degrees: Sequence[GroupElement],
+                 brackets: Mapping[Tuple[int, int], Iterable],
+                 names: Optional[Sequence[str]] = None):
+        super().__init__(group, names, degrees)
+        n = self.n
         table: Dict[Tuple[int, int], Tuple[Tuple[int, Fraction], ...]] = {}
         for (i, j), terms in brackets.items():
             if not (0 <= i < n and 0 <= j < n):
@@ -72,16 +140,6 @@ class GradedLieAlgebra:
             if clean:
                 table[(i, j)] = clean
         self.brackets = table
-
-    @property
-    def n(self) -> int:
-        return len(self.degrees)
-
-    def degree(self, i: int) -> GroupElement:
-        return self.degrees[i]
-
-    def name(self, i: int) -> str:
-        return self.names[i]
 
     def bracket_basis(self, i: int, j: int) -> List[Tuple[int, Fraction]]:
         """[e_i, e_j] for arbitrary order of i and j."""

@@ -15,8 +15,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .groups import GroupElement, _letters_commute, commute
-from .liealg import GradedLieAlgebra, LieAlgebraError
+from .liealg import GradedAlphabet, GradedLieAlgebra, LieAlgebraError
 from .linalg import _accumulate, _sparse_add, _sparse_scale
 
 Monomial = Tuple[int, ...]
@@ -83,22 +82,12 @@ class SUElement:
         canonical (length, then lexicographic) order."""
         if not self.terms:
             return "0"
-        parts = []
-        for mono, c in self.canonical_items():
-            name = " ".join(alg.name(i) for i in mono) if mono else "1"
-            parts.append(f"{c} * {name}")
-        return " + ".join(parts)
+        return " + ".join(f"{c} * {alg.word_name(mono)}" for mono, c in self.canonical_items())
 
 
-def monomial_degree(alg: GradedLieAlgebra, mono: Sequence[int]) -> GroupElement:
-    """Ordered product of the letter degrees."""
-    return alg.group.product(alg.degree(i) for i in mono)
-
-
-def word_is_gas(alg: GradedLieAlgebra, word: Sequence[int]) -> bool:
-    """True iff the degree multiset of the word generates an abelian
-    subgroup."""
-    return _letters_commute(alg.degrees, word)
+# monomial_degree(alg, mono) and word_is_gas(alg, word), as functions
+monomial_degree = GradedAlphabet.word_degree
+word_is_gas = GradedAlphabet.word_is_gas
 
 
 def _leftmost_descent(word: Monomial) -> Optional[int]:
@@ -123,7 +112,7 @@ def normalize(alg: GradedLieAlgebra, word: Sequence[int], coeff=1) -> SUElement:
         if not 0 <= i < alg.n:
             raise LieAlgebraError(f"basis index {i} out of range")
     coeff = Fraction(coeff)
-    if coeff == 0 or not word_is_gas(alg, word):
+    if coeff == 0 or not alg.word_is_gas(word):
         return SUElement.zero()
     pending: Dict[Monomial, Fraction] = {word: coeff}
     result: Dict[Monomial, Fraction] = {}
@@ -162,7 +151,7 @@ def pbw_basis(alg: GradedLieAlgebra, max_len: int) -> List[Monomial]:
     out: List[Monomial] = []
     for length in range(max_len + 1):
         for mono in combinations_with_replacement(range(alg.n), length):
-            if word_is_gas(alg, mono):
+            if alg.word_is_gas(mono):
                 out.append(mono)
     return out
 
@@ -179,7 +168,7 @@ def ug_spanning(alg: GradedLieAlgebra, max_len: int) -> List[Monomial]:
     out: List[Monomial] = []
     for length in range(max_len + 1):
         for mono in combinations_with_replacement(range(alg.n), length):
-            if all(commute(alg.degree(mono[t]), alg.degree(mono[t + 1]))
+            if all(alg.letters_commute(mono[t], mono[t + 1])
                    for t in range(len(mono) - 1)):
                 out.append(mono)
     return out

@@ -192,6 +192,44 @@ def test_cli_malformed_basis_exits_2_with_location(tmp_path, command, flag, cont
     test_cli_malformed_file_exits_2_with_location(tmp_path, command, flag, content, location)
 
 
+
+def _sl2_graded_by(group, degrees):
+    def edit(data):
+        data["group"] = group
+        for entry, degree in zip(data["basis"], degrees):
+            entry["degree"] = degree
+    return _sl2_edited(edit)
+
+
+MALFORMED_STRING_INTEGERS = [
+    pytest.param("validate", "--algebra",
+                 _sl2_graded_by({"kind": "free", "rank": 1}, ["a^1_0", "1", "a^-1"]),
+                 "basis[0]: bad free element literal", id="free-exponent-underscore"),
+    pytest.param("validate", "--algebra",
+                 _sl2_graded_by({"kind": "finite", "table": [[0, 1], [1, 0]]},
+                                ["0_1", "0", "1"]),
+                 "basis[0]: bad finite element literal", id="finite-index-underscore"),
+]
+
+
+@pytest.mark.parametrize("command, flag, content, location", MALFORMED_STRING_INTEGERS)
+def test_cli_string_integers_exit_2_with_location(tmp_path, command, flag, content, location):
+    test_cli_malformed_file_exits_2_with_location(tmp_path, command, flag, content, location)
+
+
+MALFORMED_NAMES = [
+    pytest.param("validate", "--algebra", _sl2_edited(lambda d: d["basis"][0].update(name=name)),
+                 "basis[0].name must be non-empty, without whitespace", id=ident)
+    for ident, name in (("empty", ""), ("space", "e f"), ("tab", "e\t"),
+                        ("leading-bracket", "[e"))
+]
+
+
+@pytest.mark.parametrize("command, flag, content, location", MALFORMED_NAMES)
+def test_cli_basis_names_render_words_unambiguously(tmp_path, command, flag, content,
+                                                    location):
+    test_cli_malformed_file_exits_2_with_location(tmp_path, command, flag, content, location)
+
 def test_parse_word_forms(sl2):
     assert parse_word(sl2, "[2,0,1]") == (2, 0, 1)
     assert parse_word(sl2, "f h e") == (2, 1, 0)

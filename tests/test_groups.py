@@ -247,6 +247,32 @@ def test_parse_x_numbered_generators():
     assert g.parse("x28^-2") == x
 
 
+
+def test_constructors_take_integers_only():
+    for build in (lambda: GroupSpec.free_product_cyclic([2.7]),
+                  lambda: GroupSpec.free_product_cyclic([2, True]),
+                  lambda: GroupSpec.finite([[0, 1.9], [1, 0]]),
+                  lambda: GroupSpec.finite([[0, 1], [True, 0]]),
+                  lambda: GroupSpec.free(2.5),
+                  lambda: GroupSpec.free_abelian(True)):
+        with pytest.raises(GroupError, match="expected an integer"):
+            build()
+    assert GroupSpec.free_product_cyclic([2, 3]).orders == (2, 3)
+    assert GroupSpec.free(2).rank == GroupSpec.free_abelian(2).rank == 2
+
+
+def test_string_integers_take_ascii_digits_only():
+    free, z2 = GroupSpec.free(2), GroupSpec.finite([[0, 1], [1, 0]])
+    for spec, literal in [(free, "a^1_0"), (free, "a^+1"), (free, "b^\u0661"),
+                          (z2, "0_1"), (z2, "+1"), (z2, " 1 0")]:
+        with pytest.raises(GroupError, match=f"bad {spec.kind} element literal"):
+            spec.parse(literal)
+    with pytest.raises(GroupError, match="generator token"):
+        GroupSpec.free(30).parse("x1_0")
+    assert free.parse("a^10 b^-2") == free.generator(0, 10) * free.generator(1, -2)
+    assert z2.parse("1") == z2.parse(" 1 ") == z2.element(1)
+    assert GroupSpec.free(30).parse("x10^-1") == GroupSpec.free(30).generator(9, -1)
+
 # -- normal-form properties ------------------------------------------------------
 
 def test_associativity_and_inverses_sampled():
