@@ -388,3 +388,22 @@ def test_golden_outputs(path, capsys, monkeypatch):
 
 def test_golden_corpus_is_present():
     assert len(GOLDEN_FILES) >= 8
+
+
+GOLDEN_MACHINE = FIXTURES / "golden_machine"
+
+
+@pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: p.stem)
+def test_golden_machine_records(path, capsys, monkeypatch):
+    """Machine output is the CLI's API: each golden command's records, with
+    the timing left out, match the pinned file in kind, keys, values and order."""
+    monkeypatch.chdir(FIXTURES.parent)
+    lines = path.read_text().splitlines()
+    argv = shlex.split(lines[0][2:]) + ["--format", "machine"]
+    code, out, _ = run(argv, capsys)
+    records = [json.loads(line) for line in out.splitlines()]
+    assert "elapsed_s" in records[-1]
+    del records[-1]["elapsed_s"]
+    pinned = (GOLDEN_MACHINE / f"{path.stem}.jsonl").read_text().splitlines()
+    assert code == int(lines[1].split(":")[1])
+    assert records == [json.loads(line) for line in pinned]
