@@ -1,9 +1,10 @@
 """Batch command-line front-end.
 
-One subcommand per library operation; deterministic text output (byte-stable
-for identical inputs) or line-delimited JSON records in machine mode, where
-timings are also reported.  Exit codes: 0 success/pass, 1 mathematical
-failure, 2 usage or parse error.
+One subcommand per library operation.  Each handler returns a pass flag and
+a list of records; machine mode prints the records as JSON lines, where
+timings are also reported, and text mode renders its deterministic lines
+(byte-stable for identical inputs) from the same records.  Exit codes:
+0 success/pass, 1 mathematical failure, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from . import freelie, liealg, pbw, unigroup
 from .algfile import (AlgebraFileError, ValidationFailure, load_algebra,
@@ -28,58 +29,73 @@ class UsageError(ValueError):
     pass
 
 
+Result = Tuple[bool, List[dict]]
+Renderer = Callable[[GradedLieAlgebra, dict], List[str]]
+
+
+class Command(NamedTuple):
+    """A subcommand: its handler, the flags it adds to --algebra and
+    --format, how it loads the algebra, the text lines of each record kind
+    it returns, and the text lines that precede them."""
+    help: str
+    run: Callable[[GradedLieAlgebra, argparse.Namespace], Result]
+    flags: Tuple[Tuple[str, dict], ...]
+    render: Dict[str, Renderer]
+    lead: Callable[[argparse.Namespace, List[dict]], List[str]]
+    load: Callable[[str], GradedLieAlgebra]
+
+
+_COMMANDS: Dict[str, Command] = {}
+
+
+def _command(name: str, help_text: str, *flags: Tuple[str, dict],
+             render: Dict[str, Renderer], lead=lambda args, records: [],
+             load=parse_algebra):
+    """Register the decorated handler as the subcommand name."""
+    def register(run):
+        _COMMANDS[name] = Command(help_text, run, flags, render, lead, load)
+        return run
+    return register
+
+
+_MAX_LEN = ("--max-len", {"type": int, "required": True, "metavar": "N"})
+_WORD_HELP = 'index list "[2,0,1]" or names "f h e"'
+
+
+def _words(help_text: str) -> Tuple[str, dict]:
+    return ("--word", {"action": "append", "metavar": "WORD", "required": True,
+                       "help": help_text})
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gradedlie",
         description="Exact computations in graded Lie algebras: enveloping "
                     "normal forms, free graded Lie algebras, grading analysis.")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def add(name: str, help_text: str, max_len: bool = False,
-            words: int = 0, relabel: bool = False, mats: bool = False):
-        sp = sub.add_parser(name, help=help_text)
+    for name, cmd in _COMMANDS.items():
+        sp = sub.add_parser(name, help=cmd.help)
         sp.add_argument("--algebra", required=True, metavar="PATH",
                         help="algebra definition file")
-        if max_len:
-            sp.add_argument("--max-len", type=int, required=True, metavar="N")
-        if words:
-            sp.add_argument("--word", action="append", metavar="WORD",
-                            required=True,
-                            help='index list "[2,0,1]" or names "f h e"'
-                                 + (" (give twice)" if words == 2 else ""))
-        if relabel:
-            sp.add_argument("--relabel", required=True, metavar="PATH",
-                            help="relabeling file for the coarse grading")
-        if mats:
-            sp.add_argument("--mats", metavar="PATH",
-                            help="matrix span file; defaults to the inner derivations")
+        for flag, kwargs in cmd.flags:
+            sp.add_argument(flag, **kwargs)
         sp.add_argument("--format", choices=["text", "machine"], default="text")
-        return sp
-
-    add("validate", "check grading compatibility, Jacobi, and normalization")
-    add("normalize", "straighten a word into its normal form", words=1)
-    add("mul", "product of the normal forms of two words", words=2)
-    add("pbw-basis", "sorted commuting-degree monomials up to a length", max_len=True)
-    add("ug-span", "adjacent-commuting spanning monomials (no independence claim)",
-        max_len=True)
-    add("embed-check", "verify the basis embeds into its enveloping algebra")
-    add("free-lie", "Lyndon basis of the free graded Lie algebra on the basis degrees",
-        max_len=True)
-    add("witt-check", "rank/dimension check for products of Lyndon elements",
-        max_len=True)
-    add("psi-check", "free-abelian degree lift consistency check", max_len=True)
-    add("unigroup", "presentation of the universal grading group")
-    add("abelianize", "abelianized universal group and generator images")
-    add("is-abelian", "decide whether the grading is abelian")
-    add("coarsen-check", "verify a relabeling yields a valid coarsening", relabel=True)
-    add("center", "homogeneous basis of the center")
-    add("ider", "inner derivations with their degrees")
-    add("graded-span-check", "is a span of homogeneous endomorphisms a graded "
-        "Lie algebra under the commutator", mats=True)
     return p
 
 
-# -- rendering helpers ---------------------------------------------------------
+# -- records and their text ----------------------------------------------------
+
+def _field(key: str) -> Renderer:
+    return lambda alg, rec: [rec[key]]
+
+
+def _count(label: str, note: str = "") -> Renderer:
+    return lambda alg, rec: [f"{label}: {rec['value']}{note}"]
+
+
+def _status(passed: bool) -> str:
+    return "pass" if passed else "FAIL"
+
 
 def _vec_render(alg: GradedLieAlgebra, vec: Dict[int, Fraction]) -> str:
     if not vec:
@@ -87,264 +103,229 @@ def _vec_render(alg: GradedLieAlgebra, vec: Dict[int, Fraction]) -> str:
     return " + ".join(f"{vec[i]} * {alg.name(i)}" for i in sorted(vec))
 
 
-def _check_line(check: liealg.CheckResult) -> str:
-    status = "pass" if check.passed else f"FAIL  witness: {check.witness}"
-    return f"check {check.name}: {status}"
+def _check_record(check: liealg.CheckResult) -> dict:
+    return {"record": "check", "name": check.name, "pass": check.passed,
+            "witness": check.witness}
 
 
-def _element_result(alg: GradedLieAlgebra,
-                    elt: pbw.SUElement) -> Tuple[bool, List[str], List[dict]]:
-    rendered = elt.render(alg)
+def _check_text(rec: dict) -> str:
+    status = "pass" if rec["pass"] else f"FAIL  witness: {rec['witness']}"
+    return f"check {rec['name']}: {status}"
+
+
+def _element_result(alg: GradedLieAlgebra, elt: pbw.SUElement) -> Result:
     terms = [{"word": list(m), "coeff": str(c)} for m, c in elt.canonical_items()]
-    return True, [rendered], [{"record": "element", "value": rendered, "terms": terms}]
+    return True, [{"record": "element", "value": elt.render(alg), "terms": terms}]
 
 
-def _monomial_listing(alg: GradedLieAlgebra, monos: List[Tuple[int, ...]],
-                      count_note: str = "") -> Tuple[bool, List[str], List[dict]]:
-    lines = [alg.word_name(m) for m in monos] + [f"count: {len(monos)}{count_note}"]
+def _monomial_listing(alg: GradedLieAlgebra, monos: List[Tuple[int, ...]]) -> Result:
     records = [{"record": "monomial", "word": list(m), "name": alg.word_name(m)}
                for m in monos]
-    records.append({"record": "count", "value": len(monos)})
-    return True, lines, records
+    return True, records + [{"record": "count", "value": len(monos)}]
 
 
-def _mat_lines(alg: GradedLieAlgebra, mat: liealg.EndoMatrix) -> List[str]:
-    head = f"{mat.label or 'matrix'}  degree {alg.group.format(mat.degree)}"
-    rows = ["  [" + ", ".join(str(x) for x in row) + "]" for row in mat.rows]
-    return [head] + rows
+def _derivation_lines(alg: GradedLieAlgebra, rec: dict) -> List[str]:
+    head = f"{rec['label'] or 'matrix'}  degree {rec['degree']}"
+    return [head] + ["  [" + ", ".join(row) + "]" for row in rec["rows"]]
+
+
+def _lyndon_lines(args, records: List[dict]) -> List[str]:
+    by_length: Dict[int, List[str]] = {n: [] for n in range(1, args.max_len + 1)}
+    for rec in records:
+        if rec["record"] == "lyndon":
+            by_length[rec["length"]].append("(" + rec["name"].replace(" ", ".") + ")")
+    return [f"length {n:2d}  count {len(names):3d}  {' '.join(names)}"
+            for n, names in by_length.items()]
 
 
 # -- command handlers ------------------------------------------------------------
 
-def _cmd_validate(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = load_algebra(args.algebra)
+@_command("validate", "check grading compatibility, Jacobi, and normalization",
+          render={"check": lambda alg, rec: [_check_text(rec)]}, load=load_algebra)
+def _cmd_validate(alg, args) -> Result:
     report = validate(alg)
-    lines, records = [], []
-    for check in report.checks:
-        lines.append(_check_line(check))
-        records.append({"record": "check", "name": check.name,
-                        "pass": check.passed, "witness": check.witness})
-    return report.passed, lines, records
+    return report.passed, [_check_record(check) for check in report.checks]
 
 
-def _cmd_normalize(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("normalize", "straighten a word into its normal form", _words(_WORD_HELP),
+          render={"element": _field("value")})
+def _cmd_normalize(alg, args) -> Result:
     if len(args.word) != 1:
-        raise UsageError("normalize takes exactly one --word")
+        raise UsageError(f"{args.command} takes exactly one --word")
     return _element_result(alg, pbw.normalize(alg, parse_word(alg, args.word[0])))
 
 
-def _cmd_mul(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("mul", "product of the normal forms of two words",
+          _words(_WORD_HELP + " (give twice)"), render={"element": _field("value")})
+def _cmd_mul(alg, args) -> Result:
     if len(args.word) != 2:
-        raise UsageError("mul takes exactly two --word flags")
+        raise UsageError(f"{args.command} takes exactly two --word flags")
     a = pbw.normalize(alg, parse_word(alg, args.word[0]))
     b = pbw.normalize(alg, parse_word(alg, args.word[1]))
     return _element_result(alg, pbw.su_mul(alg, a, b))
 
 
-def _cmd_pbw_basis(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("pbw-basis", "sorted commuting-degree monomials up to a length", _MAX_LEN,
+          render={"monomial": _field("name"), "count": _count("count")})
+def _cmd_pbw_basis(alg, args) -> Result:
     return _monomial_listing(alg, pbw.pbw_basis(alg, args.max_len))
 
 
-def _cmd_ug_span(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
-    return _monomial_listing(alg, pbw.ug_spanning(alg, args.max_len),
-                             " (spanning set only; independence not claimed)")
+@_command("ug-span", "adjacent-commuting spanning monomials (no independence claim)",
+          _MAX_LEN, render={
+              "monomial": _field("name"),
+              "count": _count("count", " (spanning set only; independence not claimed)")})
+def _cmd_ug_span(alg, args) -> Result:
+    return _monomial_listing(alg, pbw.ug_spanning(alg, args.max_len))
 
 
-def _cmd_embed_check(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("embed-check", "verify the basis embeds into its enveloping algebra", render={
+    "independence": lambda alg, rec: [f"letter independence: {_status(rec['pass'])}"],
+    "pair": lambda alg, rec: [f"pair ({alg.name(rec['i'])},{alg.name(rec['j'])}): FAIL"],
+    "pairs": lambda alg, rec: ["all bracket pairs: pass"]})
+def _cmd_embed_check(alg, args) -> Result:
     report = pbw.embed_check(alg)
-    lines = [f"letter independence: {'pass' if report.independent else 'FAIL'}"]
     records = [{"record": "independence", "pass": report.independent}]
-    if report.pair_failures:
-        for i, j in report.pair_failures:
-            lines.append(f"pair ({alg.name(i)},{alg.name(j)}): FAIL")
-            records.append({"record": "pair", "i": i, "j": j, "pass": False})
-    else:
-        lines.append("all bracket pairs: pass")
+    records += [{"record": "pair", "i": i, "j": j, "pass": False}
+                for i, j in report.pair_failures]
+    if not report.pair_failures:
         records.append({"record": "pairs", "pass": True})
-    return report.ok, lines, records
+    return report.ok, records
 
 
-def _cmd_free_lie(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("free-lie", "Lyndon basis of the free graded Lie algebra on the basis degrees",
+          _MAX_LEN, render={"lyndon": lambda alg, rec: [], "count": _count("total")},
+          lead=_lyndon_lines)
+def _cmd_free_lie(alg, args) -> Result:
     elements = freelie.lyndon_basis(alg, args.max_len)
-    lines = []
-    records = []
-    for length in range(1, args.max_len + 1):
-        of_len = [e for e in elements if len(e) == length]
-        names = " ".join("(" + alg.word_name(e.word).replace(" ", ".") + ")"
-                         for e in of_len)
-        lines.append(f"length {length:2d}  count {len(of_len):3d}  {names}")
-        for e in of_len:
-            records.append({"record": "lyndon", "length": length,
-                            "word": list(e.word),
-                            "name": alg.word_name(e.word),
-                            "degree": alg.group.format(e.degree)})
-    lines.append(f"total: {len(elements)}")
-    records.append({"record": "count", "value": len(elements)})
-    return True, lines, records
+    records = [{"record": "lyndon", "length": len(e), "word": list(e.word),
+                "name": alg.word_name(e.word), "degree": alg.group.format(e.degree)}
+               for e in elements]
+    return True, records + [{"record": "count", "value": len(elements)}]
 
 
-def _cmd_witt_check(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("witt-check", "rank/dimension check for products of Lyndon elements", _MAX_LEN,
+          render={"witt": lambda alg, rec: [
+              f"{rec['length']:6d}  {rec['lyndon_count']:6d}  {rec['pbw_rank']:8d}"
+              f"  {rec['monomial_dim']:12d}  {_status(rec['pass'])}"]},
+          lead=lambda args, records: ["length  lyndon  pbw_rank  monomial_dim  status"])
+def _cmd_witt_check(alg, args) -> Result:
     report = freelie.witt_check(alg, args.max_len)
-    lines = ["length  lyndon  pbw_rank  monomial_dim  status"]
-    records = []
-    for row in report.rows:
-        status = "pass" if row.passed else "FAIL"
-        lines.append(f"{row.length:6d}  {row.lyndon_count:6d}  {row.pbw_rank:8d}"
-                     f"  {row.monomial_dim:12d}  {status}")
-        records.append({"record": "witt", "length": row.length,
-                        "lyndon_count": row.lyndon_count,
-                        "pbw_rank": row.pbw_rank,
-                        "monomial_dim": row.monomial_dim,
-                        "pass": row.passed})
-    return report.passed, lines, records
+    return report.passed, [{"record": "witt", "length": row.length,
+                            "lyndon_count": row.lyndon_count, "pbw_rank": row.pbw_rank,
+                            "monomial_dim": row.monomial_dim, "pass": row.passed}
+                           for row in report.rows]
 
 
-def _cmd_psi_check(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("psi-check", "free-abelian degree lift consistency check", _MAX_LEN, render={
+    "lift": lambda alg, rec: [f"words checked: {rec['checked']}",
+                              f"violations: {rec['violations']}"],
+    "violation": lambda alg, rec: [
+        f"VIOLATION {alg.word_name(rec['word'])}: {rec['reason']}"]})
+def _cmd_psi_check(alg, args) -> Result:
     report = freelie.abelian_lift_check(alg, args.max_len)
-    lines = [f"words checked: {report.words_checked}",
-             f"violations: {len(report.violations)}"]
     records = [{"record": "lift", "checked": report.words_checked,
                 "violations": len(report.violations)}]
-    for v in report.violations:
-        lines.append(f"VIOLATION {alg.word_name(v.word)}: {v.reason}")
-        records.append({"record": "violation", "word": list(v.word),
-                        "reason": v.reason})
-    return report.passed, lines, records
+    records += [{"record": "violation", "word": list(v.word), "reason": v.reason}
+                for v in report.violations]
+    return report.passed, records
 
 
-def _cmd_unigroup(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("unigroup", "presentation of the universal grading group", render={
+    "generators": lambda alg, rec: [
+        "generators: " + (" ".join(rec["labels"]) if rec["labels"] else "(none)")],
+    "relation": lambda alg, rec: [f"{rec['s1']} * {rec['s2']} = {rec['s3']}"],
+    "count": _count("relations")})
+def _cmd_unigroup(alg, args) -> Result:
     pres = unigroup.universal_presentation(alg)
-    lines = ["generators: " + (" ".join(pres.generators) if pres.generators else "(none)")]
     records = [{"record": "generators", "labels": pres.generators}]
-    for s1, s2, s3 in pres.relations:
-        lines.append(f"{s1} * {s2} = {s3}")
-        records.append({"record": "relation", "s1": s1, "s2": s2, "s3": s3})
-    lines.append(f"relations: {len(pres.relations)}")
-    records.append({"record": "count", "value": len(pres.relations)})
-    return True, lines, records
+    records += [{"record": "relation", "s1": s1, "s2": s2, "s3": s3}
+                for s1, s2, s3 in pres.relations]
+    return True, records + [{"record": "count", "value": len(pres.relations)}]
 
 
-def _cmd_abelianize(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("abelianize", "abelianized universal group and generator images", render={
+    "group": lambda alg, rec: [f"U_ab ≅ {rec['description']}"],
+    "image": lambda alg, rec: [
+        f"{rec['generator']} -> ({', '.join(str(x) for x in rec['coords'])})"]})
+def _cmd_abelianize(alg, args) -> Result:
     data = unigroup.abelianize(unigroup.universal_presentation(alg))
-    lines = [f"U_ab ≅ {data.describe()}"]
     records = [{"record": "group", "free_rank": data.free_rank,
                 "invariant_factors": data.invariant_factors,
                 "description": data.describe()}]
-    for label, image in zip(data.generators, data.images):
-        lines.append(f"{label} -> ({', '.join(str(x) for x in image)})")
-        records.append({"record": "image", "generator": label,
-                        "coords": list(image)})
-    return True, lines, records
+    records += [{"record": "image", "generator": label, "coords": list(image)}
+                for label, image in zip(data.generators, data.images)]
+    return True, records
 
 
-def _cmd_is_abelian(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("is-abelian", "decide whether the grading is abelian", render={
+    "verdict": lambda alg, rec: [f"abelian: {'true' if rec['abelian'] else 'false'}",
+                                 f"U_ab ≅ {rec['group']}"],
+    "collision": lambda alg, rec: [
+        f"collision: {rec['first']} and {rec['second']} share an image"]})
+def _cmd_is_abelian(alg, args) -> Result:
     verdict = unigroup.is_abelian_grading(alg)
-    lines = [f"abelian: {'true' if verdict.is_abelian else 'false'}",
-             f"U_ab ≅ {verdict.data.describe()}"]
     records = [{"record": "verdict", "abelian": verdict.is_abelian,
                 "group": verdict.data.describe()}]
-    for a, b in verdict.collisions:
-        lines.append(f"collision: {a} and {b} share an image")
-        records.append({"record": "collision", "first": a, "second": b})
-    return verdict.is_abelian, lines, records
+    records += [{"record": "collision", "first": a, "second": b}
+                for a, b in verdict.collisions]
+    return verdict.is_abelian, records
 
 
-def _cmd_coarsen_check(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
-    relabel = load_relabel(args.relabel, alg)
-    report = unigroup.coarsening_check(alg, relabel)
-    lines, records = [], []
-    if report.ok:
-        lines.append("coarsening: valid")
-        for fine, coarse in report.coarsening.support_map:
-            lines.append(f"p({alg.group.format(fine)}) = {coarse}")
-            records.append({"record": "support_map",
-                            "fine": alg.group.format(fine), "coarse": str(coarse)})
-        records.append({"record": "verdict", "valid": True})
-    else:
+@_command("coarsen-check", "verify a relabeling yields a valid coarsening",
+          ("--relabel", {"required": True, "metavar": "PATH",
+                         "help": "relabeling file for the coarse grading"}),
+          render={"support_map": lambda alg, rec: [f"p({rec['fine']}) = {rec['coarse']}"],
+                  "verdict": lambda alg, rec: [] if rec["valid"] else [
+                      "coarsening: INVALID  witness ({},{})".format(*rec["witness"]),
+                      rec["reason"]]},
+          lead=lambda args, records: ["coarsening: valid"] if records[-1]["valid"] else [])
+def _cmd_coarsen_check(alg, args) -> Result:
+    report = unigroup.coarsening_check(alg, load_relabel(args.relabel, alg))
+    if not report.ok:
         i, j = report.witness
-        lines.append(f"coarsening: INVALID  witness ({alg.name(i)},{alg.name(j)})")
-        lines.append(report.reason)
-        records.append({"record": "verdict", "valid": False,
-                        "witness": [alg.name(i), alg.name(j)],
-                        "reason": report.reason})
-    return report.ok, lines, records
+        return False, [{"record": "verdict", "valid": False,
+                        "witness": [alg.name(i), alg.name(j)], "reason": report.reason}]
+    records = [{"record": "support_map", "fine": alg.group.format(fine),
+                "coarse": str(coarse)} for fine, coarse in report.coarsening.support_map]
+    return True, records + [{"record": "verdict", "valid": True}]
 
 
-def _cmd_center(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("center", "homogeneous basis of the center",
+          render={"vector": _field("value"), "count": _count("dimension")})
+def _cmd_center(alg, args) -> Result:
     vectors = liealg.center(alg)
-    lines = [_vec_render(alg, v) for v in vectors] + [f"dimension: {len(vectors)}"]
     records = [{"record": "vector",
                 "coords": {str(i): str(c) for i, c in sorted(v.items())},
                 "value": _vec_render(alg, v)} for v in vectors]
-    records.append({"record": "count", "value": len(vectors)})
-    return True, lines, records
+    return True, records + [{"record": "count", "value": len(vectors)}]
 
 
-def _cmd_ider(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
+@_command("ider", "inner derivations with their degrees",
+          render={"derivation": _derivation_lines, "count": _count("count")})
+def _cmd_ider(alg, args) -> Result:
     mats = liealg.inner_derivations(alg)
-    lines: List[str] = []
-    records = []
-    for mat in mats:
-        lines.extend(_mat_lines(alg, mat))
-        records.append({"record": "derivation", "label": mat.label,
-                        "degree": alg.group.format(mat.degree),
-                        "rows": [[str(x) for x in row] for row in mat.rows]})
-    lines.append(f"count: {len(mats)}")
-    records.append({"record": "count", "value": len(mats)})
-    return True, lines, records
+    records = [{"record": "derivation", "label": mat.label,
+                "degree": alg.group.format(mat.degree),
+                "rows": [[str(x) for x in row] for row in mat.rows]} for mat in mats]
+    return True, records + [{"record": "count", "value": len(mats)}]
 
 
-def _cmd_graded_span_check(args) -> Tuple[bool, List[str], List[dict]]:
-    alg = parse_algebra(args.algebra)
-    if args.mats:
-        mats = load_mats(args.mats, alg)
-    else:
-        mats = liealg.inner_derivations(alg)
+@_command("graded-span-check", "is a span of homogeneous endomorphisms a graded "
+          "Lie algebra under the commutator",
+          ("--mats", {"metavar": "PATH",
+                      "help": "matrix span file; defaults to the inner derivations"}),
+          render={"verdict": lambda alg, rec: [
+              f"graded Lie subspace: true  ({rec['matrices']} matrices)"] if rec["ok"] else [
+              "graded Lie subspace: false  witness ({}, {})".format(*rec["witness"]),
+              rec["reason"]]})
+def _cmd_graded_span_check(alg, args) -> Result:
+    mats = load_mats(args.mats, alg) if args.mats else liealg.inner_derivations(alg)
     report = liealg.is_graded_lie_subspace(alg, mats)
     if report.ok:
-        lines = [f"graded Lie subspace: true  ({len(mats)} matrices)"]
-        records = [{"record": "verdict", "ok": True, "matrices": len(mats)}]
-    else:
-        wa, wb = report.witness_labels(mats)
-        lines = [f"graded Lie subspace: false  witness ({wa}, {wb})",
-                 report.reason]
-        records = [{"record": "verdict", "ok": False,
-                    "witness": [wa, wb], "reason": report.reason}]
-    return report.ok, lines, records
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "normalize": _cmd_normalize,
-    "mul": _cmd_mul,
-    "pbw-basis": _cmd_pbw_basis,
-    "ug-span": _cmd_ug_span,
-    "embed-check": _cmd_embed_check,
-    "free-lie": _cmd_free_lie,
-    "witt-check": _cmd_witt_check,
-    "psi-check": _cmd_psi_check,
-    "unigroup": _cmd_unigroup,
-    "abelianize": _cmd_abelianize,
-    "is-abelian": _cmd_is_abelian,
-    "coarsen-check": _cmd_coarsen_check,
-    "center": _cmd_center,
-    "ider": _cmd_ider,
-    "graded-span-check": _cmd_graded_span_check,
-}
+        return True, [{"record": "verdict", "ok": True, "matrices": len(mats)}]
+    return False, [{"record": "verdict", "ok": False,
+                    "witness": list(report.witness_labels(mats)), "reason": report.reason}]
 
 
 def _inputs_echo(args) -> Dict[str, object]:
@@ -355,13 +336,15 @@ def _inputs_echo(args) -> Dict[str, object]:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    cmd = _COMMANDS[args.command]
     started = time.perf_counter()
     try:
-        passed, lines, records = _HANDLERS[args.command](args)
+        alg = cmd.load(args.algebra)
+        passed, records = cmd.run(alg, args)
     except ValidationFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         for check in exc.report.checks:
-            print(_check_line(check), file=sys.stderr)
+            print(_check_text(_check_record(check)), file=sys.stderr)
         return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -383,8 +366,11 @@ def main(argv=None) -> int:
         print(f"# command: {args.command}")
         for key, value in _inputs_echo(args).items():
             print(f"# {key}: {value}")
-        for line in lines:
+        for line in cmd.lead(args, records):
             print(line)
+        for rec in records:
+            for line in cmd.render[rec["record"]](alg, rec):
+                print(line)
         print(f"result: {'pass' if passed else 'fail'}")
     return 0 if passed else 1
 
