@@ -195,7 +195,7 @@ def load_mats(path, alg: GradedLieAlgebra) -> List[EndoMatrix]:
     for pos, entry in enumerate(_typed(_require(obj, "mats", path), list, path, "mats")):
         where = f"mats[{pos}]"
         _typed(entry, dict, path, where)
-        label = entry.get("label", f"m{pos}")
+        label = _typed(entry.get("label", f"m{pos}"), str, path, f"{where}.label")
         try:
             degree = alg.group.parse(_require(entry, "degree", path, where))
         except GroupError as exc:
@@ -203,7 +203,7 @@ def load_mats(path, alg: GradedLieAlgebra) -> List[EndoMatrix]:
         rows = _typed_list(_require(entry, "rows", path, where), list, path, f"{where}.rows")
         try:
             mat = EndoMatrix.build([[Fraction(str(x)) for x in row] for row in rows],
-                                   degree, str(label))
+                                   degree, label)
         except (ValueError, ZeroDivisionError) as exc:
             raise AlgebraFileError(path, f"{where}: bad matrix entry: {exc}") from None
         if len(mat.rows) != alg.n or any(len(r) != alg.n for r in mat.rows):
@@ -226,5 +226,8 @@ def load_relabel(path, alg: GradedLieAlgebra) -> Dict[GroupElement, GroupElement
             to = coarse.parse(_require(entry, "to", path, where))
         except GroupError as exc:
             raise AlgebraFileError(path, f"{where}: {exc}") from None
+        if fine in mapping:
+            raise AlgebraFileError(path, f"{where}: duplicate fine degree "
+                                         f"{alg.group.format(fine)}")
         mapping[fine] = to
     return mapping

@@ -20,7 +20,7 @@ from . import freelie, liealg, pbw, unigroup
 from .algfile import (AlgebraFileError, ValidationFailure, load_algebra,
                       load_mats, load_relabel, parse_algebra, parse_word)
 from .freelie import FreeLieError
-from .groups import GroupError
+from .groups import GroupError, _int_text
 from .liealg import GradedLieAlgebra, LieAlgebraError, validate
 from .unigroup import CoarseningError
 
@@ -58,7 +58,16 @@ def _command(name: str, help_text: str, *flags: Tuple[str, dict],
     return register
 
 
-_MAX_LEN = ("--max-len", {"type": int, "required": True, "metavar": "N"})
+def _strict_int(text: str) -> int:
+    """An optional minus sign and ASCII digits, as in group literals; int()
+    would also take '0_2', '+2' and ' 2'."""
+    try:
+        return _int_text(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_MAX_LEN = ("--max-len", {"type": _strict_int, "required": True, "metavar": "N"})
 _WORD_HELP = 'index list "[2,0,1]" or names "f h e"'
 
 

@@ -18,7 +18,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
                     Tuple)
 
 from . import linalg
-from .groups import GroupElement, GroupSpec, _degree_classes, commute
+from .groups import GroupElement, GroupSpec, _degree_classes, _integer, commute
 from .linalg import _accumulate, _mat_mul, _sparse_add, _sparse_scale
 
 LieVector = Dict[int, Fraction]
@@ -108,6 +108,15 @@ class GradedAlphabet:
         return all(letters <= table[i] for i in letters)
 
 
+def _check_indices(what: str, *indices) -> None:
+    """Basis indices are integers; a float or a bool is refused, not coerced."""
+    for x in indices:
+        try:
+            _integer(x)
+        except TypeError as exc:
+            raise LieAlgebraError(f"{what}: {exc}") from None
+
+
 class GradedLieAlgebra(GradedAlphabet):
     """Structure-constant presentation of a graded Lie algebra: a graded
     alphabet (its basis) plus brackets.
@@ -124,6 +133,7 @@ class GradedLieAlgebra(GradedAlphabet):
         n = self.n
         table: Dict[Tuple[int, int], Tuple[Tuple[int, Fraction], ...]] = {}
         for (i, j), terms in brackets.items():
+            _check_indices(f"bracket pair ({i!r},{j!r})", i, j)
             if not (0 <= i < n and 0 <= j < n):
                 raise LieAlgebraError(f"bracket pair ({i},{j}) out of range for n={n}")
             if i >= j:
@@ -133,9 +143,10 @@ class GradedLieAlgebra(GradedAlphabet):
                 terms = terms.items()
             acc: Dict[int, Fraction] = {}
             for k, c in terms:
+                _check_indices("bracket target index", k)
                 if not 0 <= k < n:
                     raise LieAlgebraError(f"bracket target index {k} out of range for n={n}")
-                _accumulate(acc, int(k), Fraction(c))
+                _accumulate(acc, k, Fraction(c))
             clean = tuple(sorted(acc.items()))
             if clean:
                 table[(i, j)] = clean

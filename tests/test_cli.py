@@ -125,6 +125,14 @@ MALFORMED_FILES = [
     pytest.param("coarsen-check", "--relabel",
                  {"group": {"kind": "free_abelian", "rank": 1}, "map": [5]},
                  "map[0]", id="map-entry-not-an-object"),
+    pytest.param("coarsen-check", "--relabel",
+                 {"group": {"kind": "finite", "table": [[0, 1], [1, 0]],
+                            "names": ["even", "odd"]},
+                  "map": [{"from": "[1]", "to": "odd"}, {"from": [1], "to": "even"}]},
+                 "map[1]: duplicate fine degree [1]", id="map-duplicate-fine-degree"),
+    pytest.param("graded-span-check", "--mats",
+                 {"mats": [{"label": {"x": 1}, "degree": [0], "rows": [[0] * 3] * 3}]},
+                 "mats[0].label must be a string", id="mats-label-not-a-string"),
 ]
 
 
@@ -270,6 +278,22 @@ def test_cli_word_index_list_takes_integers_only(word, capsys):
     assert code == 2
     assert f"<word>: bad index list {word!r}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("text", ["0_2", "+2", " 2", "2 ", "\u0662"])
+def test_cli_max_len_takes_strict_integers(text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pbw-basis", "--algebra", str(FIXTURES / "c2c2_abelian.alg"),
+              "--max-len", text])
+    assert exc.value.code == 2
+    assert f"argument --max-len: expected an integer, got {text!r}" in capsys.readouterr().err
+
+
+def test_cli_negative_max_len_is_a_range_error(capsys):
+    code, out, err = run(["pbw-basis", "--algebra", str(FIXTURES / "c2c2_abelian.alg"),
+                          "--max-len", "-1"], capsys)
+    assert code == 2
+    assert "max_len must be >= 0" in err and out == ""
 
 
 def test_cli_unknown_command_exits_2(capsys):

@@ -70,6 +70,16 @@ def test_rejects_out_of_range():
         GradedLieAlgebra(group, degrees, {(0, 1): [(9, 1)]})
 
 
+@pytest.mark.parametrize("brackets", [
+    {(0, 1): [(1.5, 1)]}, {(0, 1): [(True, 1)]}, {(0, 1): [(1.0, 1)]},
+    {(0.0, 1): [(0, 1)]}, {(False, True): [(0, 1)]}],
+    ids=["k-float", "k-bool", "k-integral-float", "i-float", "pair-bools"])
+def test_rejects_non_integer_indices(brackets):
+    group, degrees, _ = sl2_raw()
+    with pytest.raises(LieAlgebraError, match="expected an integer"):
+        GradedLieAlgebra(group, degrees, brackets)
+
+
 def test_zero_coefficients_dropped():
     group, degrees, _ = sl2_raw()
     alg = GradedLieAlgebra(group, degrees, {(0, 1): [(0, 0)]})
