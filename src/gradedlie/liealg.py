@@ -133,7 +133,7 @@ class GradedLieAlgebra(GradedAlphabet):
         n = self.n
         table: Dict[Tuple[int, int], Tuple[Tuple[int, Fraction], ...]] = {}
         for (i, j), terms in brackets.items():
-            _check_indices(f"bracket pair ({i!r},{j!r})", i, j)
+            _check_indices("bracket pair index", i, j)
             if not (0 <= i < n and 0 <= j < n):
                 raise LieAlgebraError(f"bracket pair ({i},{j}) out of range for n={n}")
             if i >= j:
