@@ -192,10 +192,14 @@ def load_mats(path, alg: GradedLieAlgebra) -> List[EndoMatrix]:
     rows of exact rational strings and degrees in the algebra's group."""
     obj = _load_json(path)
     mats = []
+    seen: Dict[str, int] = {}
     for pos, entry in enumerate(_typed(_require(obj, "mats", path), list, path, "mats")):
         where = f"mats[{pos}]"
         _typed(entry, dict, path, where)
         label = _typed(entry.get("label", f"m{pos}"), str, path, f"{where}.label")
+        if label in seen:
+            raise AlgebraFileError(path, f"{where}.label {label!r} repeats mats[{seen[label]}]")
+        seen[label] = pos
         try:
             degree = alg.group.parse(_require(entry, "degree", path, where))
         except GroupError as exc:
@@ -218,6 +222,7 @@ def load_relabel(path, alg: GradedLieAlgebra) -> Dict[GroupElement, GroupElement
     obj = _load_json(path)
     coarse = load_group_spec(_require(obj, "group", path), path)
     mapping: Dict[GroupElement, GroupElement] = {}
+    degrees = set(alg.degrees)
     for pos, entry in enumerate(_typed(_require(obj, "map", path), list, path, "map")):
         where = f"map[{pos}]"
         _typed(entry, dict, path, where)
@@ -229,5 +234,8 @@ def load_relabel(path, alg: GradedLieAlgebra) -> Dict[GroupElement, GroupElement
         if fine in mapping:
             raise AlgebraFileError(path, f"{where}: duplicate fine degree "
                                          f"{alg.group.format(fine)}")
+        if fine not in degrees:
+            raise AlgebraFileError(path, f"{where}: fine degree {alg.group.format(fine)} "
+                                         "is not a degree of the algebra")
         mapping[fine] = to
     return mapping

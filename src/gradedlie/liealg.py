@@ -10,7 +10,6 @@ the graded-Lie-subspace check on endomorphism spans all live here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 from . import linalg
 from .groups import GroupElement, GroupSpec, _degree_classes, _integer, commute
-from .linalg import _accumulate, _mat_mul, _sparse_add, _sparse_scale
+from .linalg import _accumulate, _integer_row, _mat_mul, _sparse_add, _sparse_scale
 
 LieVector = Dict[int, Fraction]
 
@@ -320,18 +319,8 @@ class EndoMatrix:
         return EndoMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows),
                           degree, label)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
-
     def flatten(self) -> List[Fraction]:
         return [x for row in self.rows for x in row]
-
-
-def _integral_rows(mat: EndoMatrix) -> List[List[int]]:
-    """mat times the lcm of its denominators: a nonzero integer multiple,
-    so it has the same zero test and spans the same line."""
-    scale = math.lcm(*(x.denominator for row in mat.rows for x in row))
-    return [[x.numerator * (scale // x.denominator) for x in row] for row in mat.rows]
 
 
 def _mat_commutator(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
@@ -355,17 +344,21 @@ def check_block_invariant(alg: GradedLieAlgebra, mat: EndoMatrix) -> None:
 
 def inner_derivations(alg: GradedLieAlgebra) -> List[EndoMatrix]:
     """The adjoint maps ad e_i with declared degree deg e_i, thinned to a
-    linearly independent set."""
-    mats = []
-    for i in range(alg.n):
-        rows = [[Fraction(0)] * alg.n for _ in range(alg.n)]
-        for j in range(alg.n):
-            for k, c in alg.bracket_basis(i, j):
-                rows[k][j] = c
-        mats.append(EndoMatrix.build(rows, alg.degree(i), f"ad {alg.name(i)}"))
-    nonzero = [m for m in mats if not m.is_zero()]
-    kept = linalg.independent_subset([m.flatten() for m in nonzero])
-    return [nonzero[i] for i in kept]
+    linearly independent set.  Column j of ad e_i holds [e_i, e_j]; the maps
+    that vanish (no stored bracket) are left out."""
+    n = alg.n
+    zero = Fraction(0)
+    ads: Dict[int, List[List[Fraction]]] = {}
+    for (i, j), terms in alg.brackets.items():
+        ad_i = ads.setdefault(i, [[zero] * n for _ in range(n)])
+        ad_j = ads.setdefault(j, [[zero] * n for _ in range(n)])
+        for k, c in terms:
+            ad_i[k][j] = c
+            ad_j[k][i] = -c
+    order = sorted(ads)
+    kept = linalg.independent_subset([[x for row in ads[i] for x in row] for i in order])
+    return [EndoMatrix(tuple(map(tuple, ads[order[t]])), alg.degree(order[t]),
+                       f"ad {alg.name(order[t])}") for t in kept]
 
 
 @dataclass
@@ -389,12 +382,14 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     For each pair: if the declared degrees do not commute the commutator must
     vanish; otherwise a nonzero commutator must lie in the span of the listed
     matrices of the product degree.  The first offending pair is the witness.
-    Each matrix is scaled to integers once, which changes neither answer.
+    Each matrix is scaled to integers once (times the lcm of its
+    denominators), which changes neither answer.
     """
     for mat in mats:
         check_block_invariant(alg, mat)
-    ints = [_integral_rows(mat) for mat in mats]
-    flats = [[x for row in rows for x in row] for rows in ints]
+    n = alg.n
+    flats = [_integer_row(mat.flatten()) for mat in mats]
+    ints = [[flat[r:r + n] for r in range(0, n * n, n)] for flat in flats]
     for i1 in range(len(mats)):
         for i2 in range(i1 + 1, len(mats)):
             u, v = mats[i1], mats[i2]

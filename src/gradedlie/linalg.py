@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals and the integers.
 
-Matrices are dense and small-scale: one rational row reduction (rref) for
-ranks, null spaces, span membership and independent subsets, a zero-skipping
+Matrices are dense and small-scale: one fraction-free elimination kernel
+for reduced row echelon forms, ranks, null spaces, solutions, span
+membership and independent subsets (rows are scaled to integers once and
+Fractions are built only for the outputs that need them), a zero-skipping
 matrix product, and an integer Smith normal form D = U*M*V.  Its transforms
 are tracked together with their inverses, and every call checks U*M*V = D,
 the diagonal and its divisibility chain, and U*U^-1 = V^-1*V = I: integer
@@ -12,6 +14,7 @@ point anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -20,51 +23,95 @@ Vector = List[Fraction]
 Matrix = List[List[Fraction]]
 
 
-def _to_rows(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _exact(x):
+    """An int or a Fraction as it is; any other entry through Fraction."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _integer_row(row: Sequence) -> List[int]:
+    """The row times the lcm of its denominators, as ints.  Ints and
+    Fractions are read as they are; any other entry goes through Fraction."""
+    kinds = set(map(type, row))
+    if kinds == {int}:
+        return list(row)
+    if not kinds <= {int, Fraction}:
+        row = [_exact(x) for x in row]
+    dens = [x.denominator for x in row]
+    den = math.lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in row]
+    return [x.numerator * (den // d) for x, d in zip(row, dens)]
+
+
+def _eliminate(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
+    """Fraction-free Gauss-Jordan elimination (in the manner of Bareiss,
+    Math. Comp. 22, 1968), the one kernel behind every entry point below.
+
+    Each row is scaled to integers once.  A row is updated as
+    pv*row - f*pivot_row and divided by the gcd of its entries, so entries
+    stay integers and small.  Returns (rows, pivots): row r is a nonzero
+    multiple of row r of the reduced row echelon form, with its pivot in
+    column pivots[r] and zeros in every other pivot column; the rows below
+    the rank are dropped."""
+    # a zero row holds no pivot, so it is skipped before it is scaled
+    m = list(map(_integer_row, filter(any, rows)))
+    ncols = len(rows[0]) if rows else 0
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        pv = prow[c]
+        # rows are often sparse: pv*row - f*prow touches row only where prow
+        # is nonzero, after scaling it by pv, and when pv divides f the
+        # multiple row - (f/pv)*prow needs no scaling
+        support = [(j, b) for j, b in enumerate(prow) if b]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                if f % pv:
+                    row = [pv * a for a in row]
+                else:
+                    f //= pv
+                for j, b in support:
+                    row[j] -= f * b
+                g = math.gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = _to_rows(rows)
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    m, pivots = _eliminate(rows)
+    ncols = len(rows[0]) if rows else 0
+    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(m))]
+    return out, pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+    return len(_eliminate(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[Vector]:
     """Canonical basis of {x : A x = 0}, one vector per free column."""
     if not rows:
         return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
-    m, pivots = rref(rows)
+    m, pivots = _eliminate(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
+        for row, pc in zip(m, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -74,20 +121,19 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
     if not rows:
         return []
     ncols = len(rows[0])
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    m, pivots = rref(aug)
+    m, pivots = _eliminate([list(row) + [rhs[i]] for i, row in enumerate(rows)])
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][ncols]
+    for row, pc in zip(m, pivots):
+        x[pc] = Fraction(row[ncols], row[pc])
     return x
 
 
 def in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
     """Coefficients expressing target in the span of the given vectors,
     or None if it is outside."""
-    tgt = [Fraction(x) for x in target]
+    tgt = [_exact(x) for x in target]
     if not vectors:
         return [] if all(x == 0 for x in tgt) else None
     # coordinates where every vector and the target vanish give 0 = 0
@@ -100,7 +146,7 @@ def in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
 def independent_subset(vectors: Sequence[Sequence]) -> List[int]:
     """Indices of the greedy maximal linearly independent subset, in order:
     the pivot columns of the matrix whose columns are the vectors."""
-    return rref(list(zip(*vectors)))[1]
+    return _eliminate(list(zip(*vectors)))[1]
 
 
 # -- sparse vectors: dicts from keys to nonzero coefficients ------------------

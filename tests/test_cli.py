@@ -133,6 +133,17 @@ MALFORMED_FILES = [
     pytest.param("graded-span-check", "--mats",
                  {"mats": [{"label": {"x": 1}, "degree": [0], "rows": [[0] * 3] * 3}]},
                  "mats[0].label must be a string", id="mats-label-not-a-string"),
+    pytest.param("coarsen-check", "--relabel",
+                 {"group": {"kind": "finite", "table": [[0, 1], [1, 0]],
+                            "names": ["even", "odd"]},
+                  "map": [{"from": [1], "to": "odd"}, {"from": [0], "to": "even"},
+                          {"from": [-1], "to": "odd"}, {"from": [7], "to": "even"}]},
+                 "map[3]: fine degree [7] is not a degree of the algebra",
+                 id="map-fine-degree-outside-support"),
+    pytest.param("graded-span-check", "--mats",
+                 {"mats": [{"degree": [0], "rows": [[0] * 3] * 3},
+                           {"label": "m0", "degree": [0], "rows": [[0] * 3] * 3}]},
+                 "mats[1].label 'm0' repeats mats[0]", id="mats-label-repeated"),
 ]
 
 

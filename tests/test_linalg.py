@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from gradedlie import linalg, unigroup
+from gradedlie import freelie, linalg, unigroup
 from gradedlie.groups import GroupSpec
 from gradedlie.liealg import GradedLieAlgebra, validate
 from gradedlie.linalg import (_check_smith, _mat_mul, det_int, in_span,
@@ -297,3 +298,200 @@ def test_row_hnf_idempotent_and_rank_preserving():
         for src, dst in ((m, h), (h, m)):
             for row in src:
                 assert _in_row_lattice(dst, row)
+
+
+# -- the fraction-free kernel against the Fraction elimination it replaced -------------
+
+def _to_rows(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def reference_rref(rows):
+    """Reduced row echelon form; returns (matrix, pivot column indices)."""
+    m = _to_rows(rows)
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_reference_rref(rows):
+    return reference_rref(rows)
+
+
+def _ref(rows):
+    """reference_rref, shared by the reference entry points on one matrix
+    (read only)."""
+    return _cached_reference_rref(tuple(map(tuple, rows)))
+
+
+# the other entry points as they were written over the Fraction elimination
+
+def reference_nullspace(rows, ncols):
+    if not rows:
+        return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
+    m, pivots = _ref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(rows, rhs):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
+    m, pivots = _ref(aug)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][ncols]
+    return x
+
+
+def reference_in_span(vectors, target):
+    tgt = [Fraction(x) for x in target]
+    if not vectors:
+        return [] if all(x == 0 for x in tgt) else None
+    live = [d for d, t in enumerate(tgt) if t or any(v[d] for v in vectors)]
+    if not live:
+        return [Fraction(0)] * len(vectors)
+    return reference_solve([[v[d] for v in vectors] for d in live], [tgt[d] for d in live])
+
+
+def _fractions_only(value):
+    """value (nested lists, ints, None) holds no entry but Fractions and
+    pivot indices; in particular no float."""
+    if isinstance(value, list):
+        return all(map(_fractions_only, value))
+    return value is None or type(value) in (Fraction, int)
+
+
+def _assert_kernel_matches_reference(rows, ncols, rhs):
+    """All six entry points on rows agree exactly with the Fraction
+    elimination; in_span is asked for rhs in the span of the columns."""
+    columns = [list(col) for col in zip(*rows)] if rows else []
+    got = (rref(rows), rank(rows), nullspace(rows, ncols), solve(rows, rhs),
+           in_span(columns, rhs), independent_subset(rows))
+    want = (_ref(rows), len(_ref(rows)[1]), reference_nullspace(rows, ncols),
+            reference_solve(rows, rhs), reference_in_span(columns, rhs),
+            _ref(list(zip(*rows)))[1])
+    assert got == want
+    matrix, _ = got[0]
+    assert all(type(x) is Fraction for row in matrix for x in row)
+    for vector in (*got[2], got[3], got[4]):
+        assert vector is None or all(type(x) is Fraction for x in vector)
+    assert _fractions_only([list(got[0][1]), got[1], got[5]])
+
+
+def _random_exact_matrix(rng):
+    """A 0-9 by 0-9 matrix of ints, Fractions or strings (or a mix, with
+    mixed denominators), often of low rank, with zero rows and columns and
+    negative entries; returns (rows, ncols, features)."""
+    nrows, ncols = rng.randrange(10), rng.randrange(10)
+    kind = rng.choice(("int", "fraction", "string", "mixed"))
+    dens = (1,) if kind == "int" else (1, 2, 3, 4, 6, 7, 9)
+    values = [[Fraction(rng.randint(-9, 9), rng.choice(dens)) if rng.random() < 0.6 else
+               Fraction(0) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 2 and rng.random() < 0.4:  # rows combined from a few of them
+        base = values[:rng.randrange(1, nrows)]
+        values = [[sum((rng.randint(-2, 2) * b[c] for b in base), Fraction(0))
+                   for c in range(ncols)] for _ in range(nrows)]
+    if nrows and rng.random() < 0.3:
+        values[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    if ncols and rng.random() < 0.3:
+        dead = rng.randrange(ncols)
+        for row in values:
+            row[dead] = Fraction(0)
+
+    def spell(v):
+        how = kind if kind != "mixed" else rng.choice(("int", "fraction", "string"))
+        if how == "int" and v.denominator == 1:
+            return int(v)
+        return str(v) if how == "string" else v
+
+    rows = [[spell(v) for v in row] for row in values]
+    features = {kind}
+    if any(not any(row) for row in values):
+        features.add("zero row")
+    if any(not any(row[c] for row in values) for c in range(ncols)) and nrows:
+        features.add("zero column")
+    first = reference_rref(rows)[1][:1]
+    if first and next(row[first[0]] for row in values if row[first[0]]) < 0:
+        features.add("negative pivot")
+    if len({v.denominator for row in values for v in row}) > 2:
+        features.add("mixed denominators")
+    return rows, ncols, features
+
+
+def _random_rhs(rng, values, ncols):
+    """Half the time A x for a random x (a consistent system), otherwise
+    random."""
+    if rng.random() < 0.5:
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+        return [sum((Fraction(a) * b for a, b in zip(row, x)), Fraction(0)) for row in values]
+    return [rng.choice((0, 1, -2, Fraction(3, 4), "5/6")) for _ in values]
+
+
+def test_kernel_matches_fraction_elimination_on_random_matrices():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(300):
+        rows, ncols, features = _random_exact_matrix(rng)
+        seen |= features
+        _assert_kernel_matches_reference(rows, ncols, _random_rhs(rng, rows, ncols))
+    assert seen >= {"int", "fraction", "string", "mixed", "zero row", "zero column",
+                    "negative pivot", "mixed denominators"}
+
+
+def test_kernel_matches_fraction_elimination_on_gl4_ad_columns():
+    alg = _matrix_lie_algebra(4, False)
+    n = alg.n
+    flats = [[dict(alg.bracket_basis(i, j)).get(k, Fraction(0)) for k in range(n)
+              for j in range(n)] for i in range(n)]
+    columns = [list(col) for col in zip(*flats)]  # one column per ad e_i
+    rhs = [sum(col[:3]) - col[-1] for col in columns]  # in the span of the ad maps
+    _assert_kernel_matches_reference(columns, n, rhs)
+    assert independent_subset(flats) == _ref(columns)[1]
+    assert rank(columns) == n - 1  # the center of gl4 is the identity
+
+
+def test_kernel_matches_fraction_elimination_on_witt_rows(monkeypatch, sl2):
+    seen = []
+    kernel_rank = linalg.rank
+
+    def record(vectors):
+        seen.append(vectors)
+        return kernel_rank(vectors)
+
+    monkeypatch.setattr(linalg, "rank", record)
+    freelie.witt_check(sl2, 5)
+    monkeypatch.undo()
+    rows = seen[-1]
+    assert len(rows) == len(rows[0]) == 243
+    rhs = [Fraction(i % 5 - 2, 1 + i % 3) for i in range(len(rows))]
+    _assert_kernel_matches_reference(rows, len(rows[0]), rhs)
