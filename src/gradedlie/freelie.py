@@ -4,8 +4,9 @@ The relatively free associative algebra on a degree-assigned alphabet has the
 words with commuting degree multisets as a homogeneous basis; its Lie
 subalgebra generated by the letters is free, with basis the standard
 bracketings of Lyndon words whose letter degrees commute.  This module
-enumerates both bases, checks the bounded-degree enveloping/rank statement,
-and verifies the free-abelian degree lift.
+enumerates both bases, certifies the bounded-degree Witt statement by the
+distinct leading words of the non-increasing Lyndon products, and verifies
+the free-abelian degree lift.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg
 from .groups import GroupElement, _degree_classes, generates_abelian_subgroup
 from .liealg import GradedAlphabet
 from .linalg import _accumulate, _sparse_add, _sparse_scale
@@ -144,49 +144,46 @@ class WittReport:
 
 
 def _pbw_products(elements: List[LyndonElement], total: int,
-                  start: int = 0) -> List[List[int]]:
-    """Non-decreasing index sequences into `elements` with word lengths
-    summing to `total`."""
+                  stop: int) -> List[List[int]]:
+    """Non-increasing index sequences below `stop` into `elements` with word
+    lengths summing to `total`."""
     if total == 0:
         return [[]]
-    out = []
-    for p in range(start, len(elements)):
-        l = len(elements[p])
-        if l <= total:
-            for rest in _pbw_products(elements, total - l, p):
-                out.append([p] + rest)
-    return out
+    return [[p] + rest for p in range(stop) if len(elements[p]) <= total
+            for rest in _pbw_products(elements, total - len(elements[p]), p + 1)]
 
 
 def witt_check(alphabet: GradedAlphabet, max_len: int) -> WittReport:
-    """For each length d <= max_len, expand all sorted products of Lyndon
-    basis elements of total length d whose degree multiset generates an
-    abelian subgroup, and compare the exact rank of the expansions with the
-    dimension of the relatively free algebra in that length."""
+    """For each length d <= max_len, compare the number of products of
+    Lyndon basis elements of total length d, in non-increasing word order and
+    with commuting letter degrees, with the dimension of the relatively free
+    algebra in that length.  That number is the products' rank: each product
+    is expanded, and its least word must be its Lyndon words concatenated,
+    with coefficient 1, and must differ from every other product's (unique
+    Lyndon factorization), else ArithmeticError is raised."""
     if max_len < 1:
         raise FreeLieError("max_len must be >= 1")
     elements = sorted(lyndon_basis(alphabet, max_len), key=lambda e: e.word)
     rows = []
     for d in range(1, max_len + 1):
-        space = free_monomial_basis(alphabet, d)
-        vectors = []
-        for combo in _pbw_products(elements, d):
+        leading = set()
+        for combo in _pbw_products(elements, d, len(elements)):
+            word = tuple(i for p in combo for i in elements[p].word)
             # a product's words all hold its letters, so one with
-            # non-commuting letters projects to zero
-            if not alphabet.word_is_gas([i for p in combo for i in elements[p].word]):
+            # non-commuting letters projects to zero and any other survives
+            if not alphabet.word_is_gas(word):
                 continue
             expansion: Expansion = {(): Fraction(1)}
             for p in combo:
                 expansion = _concat(expansion, elements[p].expansion_dict())
-            vec = [Fraction(0)] * space.dim
-            for w, c in expansion.items():
-                pos = space.index.get(w)
-                if pos is not None:  # words outside the space project to zero
-                    vec[pos] = c
-            vectors.append(vec)
-        rk = linalg.rank(vectors) if vectors else 0
+            least = min(expansion, default=None)
+            if least != word or expansion[least] != 1 or least in leading:
+                raise ArithmeticError(f"witt_check postcondition failed: product {word} "
+                                      f"does not lead with {word} once and coefficient 1")
+            leading.add(least)
+        dim = free_monomial_basis(alphabet, d).dim
         count = sum(1 for e in elements if len(e) == d)
-        rows.append(WittRow(d, count, rk, space.dim, rk == space.dim))
+        rows.append(WittRow(d, count, len(leading), dim, len(leading) == dim))
     return WittReport(rows)
 
 
@@ -199,9 +196,12 @@ def degree_product(degrees: Sequence[GroupElement],
     well-defined product of the commutative exponent data exists)."""
     if not degrees and not indices:
         raise FreeLieError("empty degree list")
-    if not generates_abelian_subgroup({degrees[i] for i in indices}):
-        return None
+    if not all(type(i) is int and 0 <= i < len(degrees) for i in indices):
+        raise FreeLieError(f"degree indices must be integers in [0, {len(degrees)}), "
+                           f"got {list(indices)}")
     referenced = [degrees[i] for i in indices]
+    if not generates_abelian_subgroup(set(referenced)):
+        return None
     return (referenced or degrees)[0].spec.product(referenced)
 
 
@@ -237,10 +237,9 @@ def abelian_lift_check(alphabet: GradedAlphabet, max_len: int) -> LiftReport:
     violations: List[LiftViolation] = []
     checked = 0
     for length in range(1, max_len + 1):
-        space = free_monomial_basis(alphabet, length)
         for word in product(range(alphabet.size), repeat=length):
             checked += 1
-            survives = word in space.index
+            survives = alphabet.word_is_gas(word)
             # lifted degree of the word: its letters' degree classes, fed to
             # the partial product map in class order
             lifted_word = sorted(letter_class[i] for i in word)

@@ -169,15 +169,6 @@ class GradedLieAlgebra(GradedAlphabet):
 
 # -- vectors ------------------------------------------------------------------
 
-def vector(entries: Mapping[int, object]) -> LieVector:
-    out = {}
-    for i, c in entries.items():
-        c = Fraction(c)
-        if c != 0:
-            out[int(i)] = c
-    return out
-
-
 def basis_vector(i: int) -> LieVector:
     return {i: Fraction(1)}
 

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .liealg import GradedAlphabet, GradedLieAlgebra, LieAlgebraError
+from .liealg import GradedAlphabet, GradedLieAlgebra, LieAlgebraError, _check_indices
 from .linalg import _accumulate, _sparse_add, _sparse_scale
 
 Monomial = Tuple[int, ...]
@@ -107,7 +107,8 @@ def normalize(alg: GradedLieAlgebra, word: Sequence[int], coeff=1) -> SUElement:
     (length, inversion count) lexicographically; equal adjacent letters are
     never swapped.
     """
-    word = tuple(int(i) for i in word)
+    word = tuple(word)
+    _check_indices("basis index", *word)
     for i in word:
         if not 0 <= i < alg.n:
             raise LieAlgebraError(f"basis index {i} out of range")

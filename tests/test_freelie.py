@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from gradedlie import linalg
+from gradedlie import freelie, linalg
 from gradedlie.freelie import (FreeLieError, GradedAlphabet,
                                abelian_lift_check, degree_product,
                                free_monomial_basis, is_lyndon, lyndon_basis,
                                standard_bracketing, witt_check)
 from gradedlie.groups import GroupSpec, commute
+from conftest import ALGEBRA_FILES
+from test_alphabet import s3_alphabets
 
 
 def alphabet_of(alg):
@@ -208,6 +210,83 @@ def test_lyndon_brackets_stay_in_span(c2c2, trivial2, free3):
 
 # -- enveloping rank check -----------------------------------------------------------------
 
+def _nondecreasing_products(lengths, total, start=0):
+    if total == 0:
+        yield ()
+        return
+    for p in range(start, len(lengths)):
+        if lengths[p] <= total:
+            for rest in _nondecreasing_products(lengths, total - lengths[p], p):
+                yield (p,) + rest
+
+
+def dense_witt_rows(alphabet, d):
+    """The products of Lyndon basis elements of total length d, in
+    non-decreasing word order and with commuting letters, as dense Fraction
+    rows over free_monomial_basis(alphabet, d): the rows whose rank
+    witt_check reports as pbw_rank."""
+    elements = sorted(lyndon_basis(alphabet, d), key=lambda e: e.word)
+    space = free_monomial_basis(alphabet, d)
+    rows = []
+    for combo in _nondecreasing_products([len(e) for e in elements], d):
+        if not alphabet.word_is_gas([i for p in combo for i in elements[p].word]):
+            continue
+        expansion = {(): Fraction(1)}
+        for p in combo:
+            step = {}
+            for w, c in expansion.items():
+                for v, b in elements[p].expansion:
+                    step[w + v] = step.get(w + v, Fraction(0)) + c * b
+            expansion = step
+        row = [Fraction(0)] * space.dim
+        for w, c in expansion.items():
+            if w in space.index:  # words outside the space project to zero
+                row[space.index[w]] = c
+        rows.append(row)
+    return rows
+
+
+WITT_ORACLE_CASES = ([(stem, 6 if stem == "sl2" else 5) for stem in ALGEBRA_FILES]
+                     + [("single_letter", 5)] + [(f"s3_{k}", 4) for k in range(6)])
+
+
+@pytest.mark.parametrize("name, max_len", WITT_ORACLE_CASES)
+def test_witt_rank_matches_dense_elimination(all_algebras, name, max_len):
+    if name == "single_letter":
+        g = GroupSpec.free(1)
+        alphabet = GradedAlphabet.build(g, [("x", g.parse("a"))])
+    elif name.startswith("s3_"):
+        alphabet = s3_alphabets()[int(name[3:])]
+    else:
+        alphabet = alphabet_of(all_algebras[name])
+    report = witt_check(alphabet, max_len)
+    assert [r.pbw_rank for r in report.rows] == \
+        [linalg.rank(dense_witt_rows(alphabet, d)) for d in range(1, max_len + 1)]
+    assert [r.monomial_dim for r in report.rows] == \
+        [free_monomial_basis(alphabet, d).dim for d in range(1, max_len + 1)]
+
+
+def _mutated_bracketing(target, mutation):
+    original = standard_bracketing
+
+    def bracketing(word):
+        expansion = original(word)
+        if word == target and mutation == "double":
+            expansion[word] *= 2
+        elif word == target:
+            del expansion[word]
+        return expansion
+    return bracketing
+
+
+@pytest.mark.parametrize("mutation", ["double", "drop"])
+@pytest.mark.parametrize("target", [(0, 1), (0, 0, 1), (0, 1, 1)], ids=["xy", "xxy", "xyy"])
+def test_witt_check_raises_on_mutated_bracketing(monkeypatch, trivial2, target, mutation):
+    monkeypatch.setattr(freelie, "standard_bracketing", _mutated_bracketing(target, mutation))
+    with pytest.raises(ArithmeticError, match="witt_check postcondition failed"):
+        witt_check(alphabet_of(trivial2), 4)
+
+
 def test_witt_trivial_two_letters(trivial2):
     report = witt_check(alphabet_of(trivial2), 5)
     assert report.passed
@@ -253,6 +332,14 @@ def test_degree_product_c2c2():
     assert degree_product(degs, [0, 0]).is_identity()
     assert degree_product(degs, [0, 1]) is None
     assert degree_product(degs, []) .is_identity()
+
+
+@pytest.mark.parametrize("indices", [[-1], [5], [0, 3], [True], [0.0]])
+def test_degree_product_rejects_bad_indices(indices):
+    g = GroupSpec.free_abelian(1)
+    degs = [g.parse([1]), g.parse([2]), g.parse([3])]
+    with pytest.raises(FreeLieError):
+        degree_product(degs, indices)
 
 
 def test_degree_product_abelian_always_defined():

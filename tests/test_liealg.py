@@ -80,6 +80,11 @@ def test_rejects_non_integer_indices(brackets):
         GradedLieAlgebra(group, degrees, brackets)
 
 
+def test_no_coercing_vector_constructor():
+    # liealg.vector coerced its keys with int(): {1.5: 2} became {1: 2}
+    assert not hasattr(gl.liealg, "vector")
+
+
 def test_zero_coefficients_dropped():
     group, degrees, _ = sl2_raw()
     alg = GradedLieAlgebra(group, degrees, {(0, 1): [(0, 0)]})

@@ -6,12 +6,13 @@ import pytest
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from gradedlie import freelie, linalg, unigroup
+from gradedlie import linalg, unigroup
 from gradedlie.groups import GroupSpec
 from gradedlie.liealg import GradedLieAlgebra, validate
 from gradedlie.linalg import (_check_smith, _mat_mul, det_int, in_span,
                               independent_subset, nullspace, rank, row_hnf,
                               rref, smith_normal_form, solve)
+from test_freelie import dense_witt_rows
 
 
 def random_int_matrix(rng, rows, cols, bound=6):
@@ -480,18 +481,8 @@ def test_kernel_matches_fraction_elimination_on_gl4_ad_columns():
     assert rank(columns) == n - 1  # the center of gl4 is the identity
 
 
-def test_kernel_matches_fraction_elimination_on_witt_rows(monkeypatch, sl2):
-    seen = []
-    kernel_rank = linalg.rank
-
-    def record(vectors):
-        seen.append(vectors)
-        return kernel_rank(vectors)
-
-    monkeypatch.setattr(linalg, "rank", record)
-    freelie.witt_check(sl2, 5)
-    monkeypatch.undo()
-    rows = seen[-1]
+def test_kernel_matches_fraction_elimination_on_witt_rows(sl2):
+    rows = dense_witt_rows(sl2, 5)
     assert len(rows) == len(rows[0]) == 243
     rhs = [Fraction(i % 5 - 2, 1 + i % 3) for i in range(len(rows))]
     _assert_kernel_matches_reference(rows, len(rows[0]), rhs)

@@ -125,6 +125,12 @@ def test_normalize_rejects_bad_index(sl2):
         normalize(sl2, (0, 99))
 
 
+@pytest.mark.parametrize("word", [(2.7, 0.2), (True, False), (2, 0.0)])
+def test_normalize_refuses_non_integer_letters(sl2, word):
+    with pytest.raises(LieAlgebraError, match="expected an integer"):
+        normalize(sl2, word)
+
+
 def test_normalize_idempotent_on_basis_monomials(all_algebras):
     for alg in all_algebras.values():
         for mono in pbw_basis(alg, 4):
