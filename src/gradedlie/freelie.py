@@ -16,9 +16,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .groups import GroupElement, _degree_classes, generates_abelian_subgroup
+from .groups import GroupElement, _degree_classes, _integer, generates_abelian_subgroup
 from .liealg import GradedAlphabet
-from .linalg import _accumulate, _sparse_add, _sparse_scale
+from .linalg import _concat, _sparse_add, _sparse_scale
 
 Word = Tuple[int, ...]
 Expansion = Dict[Word, Fraction]
@@ -26,6 +26,16 @@ Expansion = Dict[Word, Fraction]
 
 class FreeLieError(ValueError):
     """An out-of-range request."""
+
+
+def _check_length(value, least: int, what: str) -> None:
+    """A word length is an integer (a float or a bool is refused) >= least."""
+    try:
+        _integer(value)
+    except TypeError as exc:
+        raise FreeLieError(f"{what}: {exc}") from None
+    if value < least:
+        raise FreeLieError(f"{what} must be >= {least}")
 
 
 @dataclass
@@ -43,8 +53,7 @@ class FreeMonomialSpace:
 
 
 def free_monomial_basis(alphabet: GradedAlphabet, length: int) -> FreeMonomialSpace:
-    if length < 0:
-        raise FreeLieError("length must be >= 0")
+    _check_length(length, 0, "length")
     words = [w for w in product(range(alphabet.size), repeat=length)
              if alphabet.word_is_gas(w)]
     return FreeMonomialSpace(length, words, {w: p for p, w in enumerate(words)})
@@ -68,14 +77,6 @@ def _standard_factorization(word: Word) -> Tuple[Word, Word]:
     # longest proper Lyndon suffix
     v = min(word[k:] for k in range(1, len(word)))
     return word[:len(word) - len(v)], v
-
-
-def _concat(a: Expansion, b: Expansion) -> Expansion:
-    out: Expansion = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            _accumulate(out, wa + wb, ca * cb)
-    return out
 
 
 def standard_bracketing(word: Word) -> Expansion:
@@ -108,8 +109,7 @@ def lyndon_basis(alphabet: GradedAlphabet, max_len: int) -> List[LyndonElement]:
     """Basis elements of the free graded Lie algebra up to the given word
     length: standard bracketings of Lyndon words whose letter-degree multiset
     generates an abelian subgroup.  Ordered by length then lexicographically."""
-    if max_len < 1:
-        raise FreeLieError("max_len must be >= 1")
+    _check_length(max_len, 1, "max_len")
     out: List[LyndonElement] = []
     for length in range(1, max_len + 1):
         for word in product(range(alphabet.size), repeat=length):
@@ -161,8 +161,7 @@ def witt_check(alphabet: GradedAlphabet, max_len: int) -> WittReport:
     is expanded, and its least word must be its Lyndon words concatenated,
     with coefficient 1, and must differ from every other product's (unique
     Lyndon factorization), else ArithmeticError is raised."""
-    if max_len < 1:
-        raise FreeLieError("max_len must be >= 1")
+    _check_length(max_len, 1, "max_len")
     elements = sorted(lyndon_basis(alphabet, max_len), key=lambda e: e.word)
     rows = []
     for d in range(1, max_len + 1):
@@ -228,8 +227,7 @@ def abelian_lift_check(alphabet: GradedAlphabet, max_len: int) -> LiftReport:
     degree multiset, equivalently its lifted degree falls outside the domain
     of the partial product map) or its degree equals the partial product of
     its lifted degree."""
-    if max_len < 1:
-        raise FreeLieError("max_len must be >= 1")
+    _check_length(max_len, 1, "max_len")
     classes = _degree_classes(alphabet.degrees)
     lifted_alphabet = GradedAlphabet(alphabet.group, None, [d for d, _ in classes])
     letter_class = {i: cls for cls, (_, members) in enumerate(classes) for i in members}

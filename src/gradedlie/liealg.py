@@ -108,12 +108,32 @@ class GradedAlphabet:
 
 
 def _check_indices(what: str, *indices) -> None:
-    """Basis indices are integers; a float or a bool is refused, not coerced."""
+    """Indices (and lengths) are integers; a float or a bool is refused, not
+    coerced."""
     for x in indices:
         try:
             _integer(x)
         except TypeError as exc:
             raise LieAlgebraError(f"{what}: {exc}") from None
+
+
+def _coefficient(c) -> Fraction:
+    """An exact structure coefficient from an int, a Fraction or a string; a
+    float or a bool is refused, not converted."""
+    if not isinstance(c, (int, Fraction, str)) or isinstance(c, bool):
+        raise LieAlgebraError(f"coefficient must be an int, a Fraction or a string, got {c!r}")
+    try:
+        return Fraction(c)
+    except (ValueError, ZeroDivisionError):
+        raise LieAlgebraError(f"coefficient {c!r} is not a rational number") from None
+
+
+def _check_basis_indices(n: int, *indices) -> None:
+    """Basis indices are integers (see _check_indices) in range(n)."""
+    _check_indices("basis index", *indices)
+    for i in indices:
+        if not 0 <= i < n:
+            raise LieAlgebraError(f"basis index {i} out of range")
 
 
 class GradedLieAlgebra(GradedAlphabet):
@@ -122,6 +142,7 @@ class GradedLieAlgebra(GradedAlphabet):
 
     brackets maps ordered pairs (i, j) with i < j to the expansion of
     [e_i, e_j] as (k, coefficient) terms; [e_j, e_i] is read off by sign.
+    A coefficient is an int, a Fraction or a string, never a float or a bool.
     Instances are immutable after construction.
     """
 
@@ -145,7 +166,7 @@ class GradedLieAlgebra(GradedAlphabet):
                 _check_indices("bracket target index", k)
                 if not 0 <= k < n:
                     raise LieAlgebraError(f"bracket target index {k} out of range for n={n}")
-                _accumulate(acc, k, Fraction(c))
+                _accumulate(acc, k, _coefficient(c))
             clean = tuple(sorted(acc.items()))
             if clean:
                 table[(i, j)] = clean
@@ -153,6 +174,8 @@ class GradedLieAlgebra(GradedAlphabet):
 
     def bracket_basis(self, i: int, j: int) -> List[Tuple[int, Fraction]]:
         """[e_i, e_j] for arbitrary order of i and j."""
+        if type(i) is not int or type(j) is not int:
+            _check_indices("basis index", i, j)
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise LieAlgebraError(f"basis index out of range: ({i},{j})")
         if i == j:
@@ -186,11 +209,11 @@ def bracket(alg: GradedLieAlgebra, x: Mapping[int, Fraction],
     """Bilinear extension of the basis bracket."""
     out: LieVector = {}
     for i, xi in x.items():
-        if not 0 <= i < alg.n:
-            raise LieAlgebraError(f"basis index {i} out of range")
+        if type(i) is not int or not 0 <= i < alg.n:
+            _check_basis_indices(alg.n, i)
         for j, yj in y.items():
-            if not 0 <= j < alg.n:
-                raise LieAlgebraError(f"basis index {j} out of range")
+            if type(j) is not int or not 0 <= j < alg.n:
+                _check_basis_indices(alg.n, j)
             f = xi * yj
             for k, c in alg.bracket_basis(i, j):
                 _accumulate(out, k, f * c)
@@ -298,7 +321,8 @@ def center(alg: GradedLieAlgebra) -> List[LieVector]:
 @dataclass(frozen=True)
 class EndoMatrix:
     """Exact matrix acting on the basis of L, optionally with a declared
-    degree d, in which case it must map each component L_g into L_{dg}."""
+    degree d, in which case it must map each component L_g into L_{dg}.
+    build takes entries by the structure-coefficient rule of GradedLieAlgebra."""
 
     rows: Tuple[Tuple[Fraction, ...], ...]
     degree: Optional[GroupElement] = None
@@ -307,7 +331,7 @@ class EndoMatrix:
     @staticmethod
     def build(rows: Sequence[Sequence], degree: Optional[GroupElement] = None,
               label: Optional[str] = None) -> "EndoMatrix":
-        return EndoMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows),
+        return EndoMatrix(tuple(tuple(map(_coefficient, row)) for row in rows),
                           degree, label)
 
     def flatten(self) -> List[Fraction]:

@@ -8,8 +8,8 @@ matrix product, and an integer Smith normal form D = U*M*V.  Its transforms
 are tracked together with their inverses, and every call checks U*M*V = D,
 the diagonal and its divisibility chain, and U*U^-1 = V^-1*V = I: integer
 matrices with integer inverses, hence unimodular.  Sparse vectors (dicts
-from keys to nonzero coefficients) share one accumulator.  No floating
-point anywhere.
+from keys to nonzero coefficients) share one accumulator, and sparse
+combinations of words one product.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -169,6 +169,16 @@ def _sparse_add(x: dict, y: dict) -> dict:
 
 def _sparse_scale(c, x: dict) -> dict:
     return {key: c * v for key, v in x.items()} if c != 0 else {}
+
+
+def _concat(a: dict, b: dict) -> dict:
+    """The product of two sparse combinations of words (tuples): every pair
+    of words concatenated, coefficients multiplied and accumulated."""
+    out: dict = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            _accumulate(out, wa + wb, ca * cb)
+    return out
 
 
 # -- integer matrices ---------------------------------------------------------

@@ -1,10 +1,10 @@
 """Normal forms in the strong graded enveloping algebra.
 
 Elements are exact rational combinations of sorted monomials in the basis
-letters whose degree multisets generate abelian subgroups.  The straightening
-map sends any raw word either to zero (non-commuting degree multiset) or to
-its normal form by repeatedly swapping the leftmost descent and substituting
-the corresponding bracket.
+letters whose degree multisets generate abelian subgroups.  One rewrite
+loop, _straighten, takes raw words to normal form: normalize straightens one
+word and su_mul the concatenated products of two elements' terms.
+pbw_basis and ug_spanning share one enumerator of sorted monomials.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .liealg import GradedAlphabet, GradedLieAlgebra, LieAlgebraError, _check_indices
-from .linalg import _accumulate, _sparse_add, _sparse_scale
+from .liealg import (GradedAlphabet, GradedLieAlgebra, LieAlgebraError, _check_basis_indices,
+                     _check_indices)
+from .linalg import _accumulate, _concat, _sparse_add, _sparse_scale
 
 Monomial = Tuple[int, ...]
 
@@ -97,25 +98,21 @@ def _leftmost_descent(word: Monomial) -> Optional[int]:
     return None
 
 
-def normalize(alg: GradedLieAlgebra, word: Sequence[int], coeff=1) -> SUElement:
-    """Straighten a raw word (with scalar) into normal form.
+def _straighten(alg: GradedLieAlgebra, words: Dict[Monomial, Fraction]) -> SUElement:
+    """Straighten a rational combination of raw words into normal form; the
+    one rewrite loop behind normalize and su_mul.
 
-    A word whose degree multiset does not generate an abelian subgroup maps
-    to zero.  Otherwise the leftmost strict descent is repeatedly rewritten:
-    the word with the two letters swapped, plus the words with the pair
-    replaced by each bracket term.  Terminates because each step lowers
-    (length, inversion count) lexicographically; equal adjacent letters are
-    never swapped.
+    Every letter must be a basis index: an integer in range, never a float
+    or a bool.  A word whose degree multiset does not generate an abelian
+    subgroup maps to zero.  Otherwise the leftmost strict descent is
+    repeatedly rewritten: the word with the two letters swapped, plus the
+    words with the pair replaced by each bracket term.  Terminates because
+    each step lowers (length, inversion count) lexicographically; equal
+    adjacent letters are never swapped.
     """
-    word = tuple(word)
-    _check_indices("basis index", *word)
-    for i in word:
-        if not 0 <= i < alg.n:
-            raise LieAlgebraError(f"basis index {i} out of range")
-    coeff = Fraction(coeff)
-    if coeff == 0 or not alg.word_is_gas(word):
-        return SUElement.zero()
-    pending: Dict[Monomial, Fraction] = {word: coeff}
+    for word in words:
+        _check_basis_indices(alg.n, *word)
+    pending = {w: c for w, c in words.items() if c != 0 and alg.word_is_gas(w)}
     result: Dict[Monomial, Fraction] = {}
     while pending:
         w = next(iter(pending))
@@ -134,27 +131,32 @@ def normalize(alg: GradedLieAlgebra, word: Sequence[int], coeff=1) -> SUElement:
     return out
 
 
+def normalize(alg: GradedLieAlgebra, word: Sequence[int], coeff=1) -> SUElement:
+    """Straighten a raw word (with scalar) into normal form."""
+    return _straighten(alg, {tuple(word): Fraction(coeff)})
+
+
 def su_mul(alg: GradedLieAlgebra, x: SUElement, y: SUElement) -> SUElement:
     """Product in the strong enveloping algebra: concatenate monomials, then
     straighten."""
-    out = SUElement.zero()
-    for ma, ca in x.terms.items():
-        for mb, cb in y.terms.items():
-            out = out + normalize(alg, ma + mb, ca * cb)
-    return out
+    return _straighten(alg, _concat(x.terms, y.terms))
+
+
+def _sorted_monomials(alg: GradedLieAlgebra, max_len: int,
+                      keep: Callable[[Monomial], bool]) -> List[Monomial]:
+    """The sorted monomials of length <= max_len that keep accepts, ordered
+    by length then lexicographically."""
+    _check_indices("max_len", max_len)
+    if max_len < 0:
+        raise LieAlgebraError("max_len must be >= 0")
+    return [mono for length in range(max_len + 1)
+            for mono in combinations_with_replacement(range(alg.n), length) if keep(mono)]
 
 
 def pbw_basis(alg: GradedLieAlgebra, max_len: int) -> List[Monomial]:
     """All sorted monomials of length <= max_len whose degree multiset
     generates an abelian subgroup, ordered by length then lexicographically."""
-    if max_len < 0:
-        raise LieAlgebraError("max_len must be >= 0")
-    out: List[Monomial] = []
-    for length in range(max_len + 1):
-        for mono in combinations_with_replacement(range(alg.n), length):
-            if alg.word_is_gas(mono):
-                out.append(mono)
-    return out
+    return _sorted_monomials(alg, max_len, alg.word_is_gas)
 
 
 def ug_spanning(alg: GradedLieAlgebra, max_len: int) -> List[Monomial]:
@@ -164,15 +166,8 @@ def ug_spanning(alg: GradedLieAlgebra, max_len: int) -> List[Monomial]:
     algebra; no independence claim is made and no arithmetic is offered on
     it.
     """
-    if max_len < 0:
-        raise LieAlgebraError("max_len must be >= 0")
-    out: List[Monomial] = []
-    for length in range(max_len + 1):
-        for mono in combinations_with_replacement(range(alg.n), length):
-            if all(alg.letters_commute(mono[t], mono[t + 1])
-                   for t in range(len(mono) - 1)):
-                out.append(mono)
-    return out
+    return _sorted_monomials(alg, max_len, lambda mono: all(
+        alg.letters_commute(a, b) for a, b in zip(mono, mono[1:])))
 
 
 @dataclass
@@ -192,16 +187,9 @@ def embed_check(alg: GradedLieAlgebra) -> EmbedReport:
     linearly independent, and for every pair (i, j) the straightened
     commutator of letters equals the image of the Lie bracket."""
     images = [normalize(alg, (i,)) for i in range(alg.n)]
-    support = sorted({m for img in images for m in img.terms},
-                     key=lambda m: (len(m), m))
-    coord = {m: p for p, m in enumerate(support)}
-    vectors = []
-    for img in images:
-        v = [Fraction(0)] * len(support)
-        for m, c in img.terms.items():
-            v[coord[m]] = c
-        vectors.append(v)
-    independent = linalg.rank(vectors) == alg.n
+    support = {m for img in images for m in img.terms}
+    independent = linalg.rank([[img.terms.get(m, 0) for m in support]
+                               for img in images]) == alg.n
 
     failures = []
     for i in range(alg.n):

@@ -381,3 +381,11 @@ def test_lift_check_specific_words(c2c2):
     # xx survives with degree g*g = 1
     assert (0, 0) in free_monomial_basis(alphabet, 2).index
     assert alphabet.word_degree((0, 0)).is_identity()
+
+
+@pytest.mark.parametrize("max_len", [True, 2.5, 1.0])
+@pytest.mark.parametrize("entry", [lyndon_basis, witt_check, abelian_lift_check,
+                                   free_monomial_basis])
+def test_lengths_must_be_integers(sl2, entry, max_len):
+    with pytest.raises(FreeLieError, match="expected an integer"):
+        entry(alphabet_of(sl2), max_len)

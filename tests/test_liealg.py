@@ -353,3 +353,44 @@ def test_span_check_on_rational_entries_matches_reference(free3, a, b):
         assert (report.ok, report.witness, report.reason) == expected
         assert _reference_span_report(mats) == expected
     assert cases[-1][2][2] == "degrees do not commute but the commutator is nonzero"
+
+
+# -- the index rule in the bracket, and exact structure data ---------------------------
+
+@pytest.mark.parametrize("x, y", [({1.5: 1}, {2: 1}), ({True: 1}, {2: 1}),
+                                  ({0.0: 1}, {2: 1}), ({0: 1}, {2.0: 1})])
+def test_bracket_refuses_non_integer_indices(sl2, x, y):
+    with pytest.raises(LieAlgebraError, match="basis index: expected an integer"):
+        bracket(sl2, x, y)
+
+
+@pytest.mark.parametrize("i, j", [(True, 2), (0, False), (1.0, 2), (0, 2.0)])
+def test_bracket_basis_refuses_non_integer_indices(sl2, i, j):
+    with pytest.raises(LieAlgebraError, match="basis index: expected an integer"):
+        sl2.bracket_basis(i, j)
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, True, False])
+def test_structure_constants_refuse_floats_and_bools(coeff):
+    group, degrees, _ = sl2_raw()
+    with pytest.raises(LieAlgebraError, match="coefficient must be"):
+        GradedLieAlgebra(group, degrees, {(0, 1): [(0, coeff)]})
+    with pytest.raises(LieAlgebraError, match="coefficient must be"):
+        EndoMatrix.build([[1, coeff], [0, 1]])
+
+
+@pytest.mark.parametrize("coeff, value", [(-2, Fraction(-2)), (Fraction(1, 3), Fraction(1, 3)),
+                                          ("1/10", Fraction(1, 10)), ("-0.5", Fraction(-1, 2))])
+def test_structure_constants_take_ints_fractions_and_strings(coeff, value):
+    group, degrees, _ = sl2_raw()
+    alg = GradedLieAlgebra(group, degrees, {(0, 1): [(0, coeff)]})
+    assert alg.brackets == {(0, 1): ((0, value),)}
+    assert EndoMatrix.build([[coeff]]).rows == ((value,),)
+
+
+def test_structure_constants_refuse_non_rational_strings():
+    group, degrees, _ = sl2_raw()
+    with pytest.raises(LieAlgebraError, match="not a rational number"):
+        GradedLieAlgebra(group, degrees, {(0, 1): [(0, "nan")]})
+    with pytest.raises(LieAlgebraError, match="not a rational number"):
+        EndoMatrix.build([["1/0"]])

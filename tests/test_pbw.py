@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from gradedlie import linalg
-from gradedlie.liealg import LieAlgebraError
+from gradedlie.groups import GroupSpec
+from gradedlie.liealg import GradedLieAlgebra, LieAlgebraError
 from gradedlie.pbw import (SUElement, embed_check, monomial_degree, normalize,
                            pbw_basis, su_mul, ug_spanning, word_is_gas)
 
@@ -283,3 +284,74 @@ def test_embed_check_both_sides_zero_for_noncommuting_pair(c2c2):
     lhs = normalize(c2c2, (0, 1)) - normalize(c2c2, (1, 0))
     assert lhs.is_zero()
     assert c2c2.bracket_basis(0, 1) == []
+
+
+# -- one straightening pass ---------------------------------------------------------
+
+def s5_graded_sum():
+    """sl2 plus four letters that bracket to zero, graded by S5: deg e = g,
+    deg h = 1, deg f = g^-1 with g = (0 1 2).  a and b commute with g, c
+    and d do not, and c commutes with a while d does not."""
+    perms = sorted(permutations(range(5)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[i] for i in q)] for q in perms] for p in perms]
+    group = GroupSpec.finite(table)
+    g, g_inv = (1, 2, 0, 3, 4), (2, 0, 1, 3, 4)
+    extras = [(0, 1, 2, 4, 3), (1, 2, 0, 4, 3), (1, 0, 2, 3, 4), (3, 1, 2, 0, 4)]
+    degrees = [group.element(index[p]) for p in [g, tuple(range(5)), g_inv] + extras]
+    brackets = {(0, 1): [(0, -2)], (0, 2): [(1, 1)], (1, 2): [(2, -2)]}
+    return GradedLieAlgebra(group, degrees, brackets, ["e", "h", "f", "a", "b", "c", "d"])
+
+
+def pairwise_su_mul(alg, x, y):
+    """The product as the sum of the straightened products of term pairs."""
+    out = SUElement.zero()
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            out = out + normalize(alg, ma + mb, ca * cb)
+    return out
+
+
+def random_raw_element(alg, rng, terms=3, max_word=3):
+    """Raw words, unsorted and with letters that need not commute."""
+    return SUElement({tuple(rng.randrange(alg.n) for _ in range(rng.randrange(max_word + 1))):
+                      Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(terms)})
+
+
+def test_su_mul_equals_pairwise_straightening(all_algebras):
+    rng = random.Random(61)
+    algebras = dict(all_algebras, s5_sum=s5_graded_sum())
+    noncommuting = 0
+    for name, alg in algebras.items():
+        if alg.n == 0:
+            continue
+        for _ in range(150):
+            x, y = random_raw_element(alg, rng), random_raw_element(alg, rng)
+            noncommuting += any(not word_is_gas(alg, ma + mb)
+                                for ma in x.terms for mb in y.terms)
+            assert su_mul(alg, x, y) == pairwise_su_mul(alg, x, y), (name, x, y)
+    assert noncommuting > 0
+
+
+def test_su_mul_on_s5_sum_kills_noncommuting_products():
+    alg = s5_graded_sum()
+    c, f = SUElement.monomial((5,)), SUElement.monomial((2,))
+    assert su_mul(alg, c, f).is_zero() and su_mul(alg, f, c).is_zero()
+    assert su_mul(alg, SUElement.monomial((3,)), SUElement.monomial((5,))) == \
+        SUElement.monomial((3, 5))
+
+
+@pytest.mark.parametrize("letter", [5, 0.0, True])
+def test_su_mul_refuses_bad_letters(sl2, letter):
+    bad = SUElement({(letter,): 1})
+    with pytest.raises(LieAlgebraError, match="basis index"):
+        su_mul(sl2, bad, SUElement.unit())
+    with pytest.raises(LieAlgebraError, match="basis index"):
+        su_mul(sl2, SUElement.monomial((0,)), bad)
+
+
+@pytest.mark.parametrize("enumerate_monomials", [pbw_basis, ug_spanning])
+@pytest.mark.parametrize("max_len", [True, False, 2.5, 1.0])
+def test_monomial_bases_refuse_non_integer_lengths(sl2, enumerate_monomials, max_len):
+    with pytest.raises(LieAlgebraError, match="max_len: expected an integer"):
+        enumerate_monomials(sl2, max_len)
