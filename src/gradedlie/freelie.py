@@ -4,9 +4,10 @@ The relatively free associative algebra on a degree-assigned alphabet has the
 words with commuting degree multisets as a homogeneous basis; its Lie
 subalgebra generated by the letters is free, with basis the standard
 bracketings of Lyndon words whose letter degrees commute.  This module
-enumerates both bases, certifies the bounded-degree Witt statement by the
-distinct leading words of the non-increasing Lyndon products, and verifies
-the free-abelian degree lift.
+enumerates both bases, certifies the bounded-degree Witt statement from the
+Lyndon words alone (each element is homogeneous and leads with its own word,
+so a non-increasing product leads with its words concatenated and none is
+expanded), and verifies the free-abelian degree lift.
 """
 
 from __future__ import annotations
@@ -143,43 +144,40 @@ class WittReport:
         return all(r.passed for r in self.rows)
 
 
-def _pbw_products(elements: List[LyndonElement], total: int,
-                  stop: int) -> List[List[int]]:
-    """Non-increasing index sequences below `stop` into `elements` with word
-    lengths summing to `total`."""
+def _product_words(words: List[Word], total: int, stop: int) -> List[Word]:
+    """Concatenations of non-increasing sequences of words[:stop] (sorted)
+    with lengths summing to total."""
     if total == 0:
-        return [[]]
-    return [[p] + rest for p in range(stop) if len(elements[p]) <= total
-            for rest in _pbw_products(elements, total - len(elements[p]), p + 1)]
+        return [()]
+    return [words[p] + rest for p in range(stop) if len(words[p]) <= total
+            for rest in _product_words(words, total - len(words[p]), p + 1)]
 
 
 def witt_check(alphabet: GradedAlphabet, max_len: int) -> WittReport:
     """For each length d <= max_len, compare the number of products of
     Lyndon basis elements of total length d, in non-increasing word order and
     with commuting letter degrees, with the dimension of the relatively free
-    algebra in that length.  That number is the products' rank: each product
-    is expanded, and its least word must be its Lyndon words concatenated,
-    with coefficient 1, and must differ from every other product's (unique
-    Lyndon factorization), else ArithmeticError is raised."""
+    algebra in that length.  That number is the products' rank, and no
+    product is expanded: each element's expansion is homogeneous and leads
+    with its own word, coefficient 1, so a product leads with its Lyndon
+    words concatenated, coefficient 1; these words must be pairwise distinct
+    (unique Lyndon factorization).  A failed check raises ArithmeticError."""
     _check_length(max_len, 1, "max_len")
     elements = sorted(lyndon_basis(alphabet, max_len), key=lambda e: e.word)
+    for e in elements:
+        if (any(len(w) != len(e) for w, _ in e.expansion)
+                or min(e.expansion, default=None) != (e.word, 1)):
+            raise ArithmeticError(f"witt_check postcondition failed: element {e.word} is not "
+                                  f"homogeneous or does not lead with itself, coefficient 1")
+    words = [e.word for e in elements]
     rows = []
     for d in range(1, max_len + 1):
-        leading = set()
-        for combo in _pbw_products(elements, d, len(elements)):
-            word = tuple(i for p in combo for i in elements[p].word)
-            # a product's words all hold its letters, so one with
-            # non-commuting letters projects to zero and any other survives
-            if not alphabet.word_is_gas(word):
-                continue
-            expansion: Expansion = {(): Fraction(1)}
-            for p in combo:
-                expansion = _concat(expansion, elements[p].expansion_dict())
-            least = min(expansion, default=None)
-            if least != word or expansion[least] != 1 or least in leading:
-                raise ArithmeticError(f"witt_check postcondition failed: product {word} "
-                                      f"does not lead with {word} once and coefficient 1")
-            leading.add(least)
+        # a product's words all hold its letters, so one with non-commuting
+        # letters projects to zero and any other survives
+        leading = [w for w in _product_words(words, d, len(words)) if alphabet.word_is_gas(w)]
+        if len(set(leading)) != len(leading):
+            raise ArithmeticError(f"witt_check postcondition failed: two products of length {d} "
+                                  f"lead with the same word")
         dim = free_monomial_basis(alphabet, d).dim
         count = sum(1 for e in elements if len(e) == d)
         rows.append(WittRow(d, count, len(leading), dim, len(leading) == dim))

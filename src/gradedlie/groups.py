@@ -94,7 +94,8 @@ class GroupSpec:
     def generator(self, i: int, exponent: int = 1) -> "GroupElement":
         """The i-th generator (or its power) in word-like backends; the
         i-th standard basis vector in the free abelian backend."""
-        if not 0 <= i < self.rank:
+        _whole(exponent, "generator exponent")
+        if not 0 <= _whole(i, "generator index") < self.rank:
             raise GroupError(f"generator index {i} out of range for rank {self.rank}")
         if self.kind == FINITE:
             raise GroupError("finite groups have no distinguished generators; use element()")
@@ -108,7 +109,7 @@ class GroupSpec:
     def element(self, index: int) -> "GroupElement":
         if self.kind != FINITE:
             raise GroupError("element(index) is only available in the finite backend")
-        if not 0 <= index < self.rank:
+        if not 0 <= _whole(index, "element index") < self.rank:
             raise GroupError(f"element index {index} out of range for order {self.rank}")
         return GroupElement(self, index)
 
@@ -252,7 +253,7 @@ class GroupElement:
         return self.spec.mul(self, other)
 
     def __pow__(self, n: int) -> "GroupElement":
-        if n < 0:
+        if _whole(n, "power") < 0:
             return self.inverse() ** (-n)
         return self.spec.product([self] * n)
 

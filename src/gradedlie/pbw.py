@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .liealg import (GradedAlphabet, GradedLieAlgebra, LieAlgebraError, _check_basis_indices,
-                     _check_indices)
+                     _check_indices, _coefficient)
 from .linalg import _accumulate, _concat, _sparse_add, _sparse_scale
 
 Monomial = Tuple[int, ...]
@@ -25,7 +25,8 @@ Monomial = Tuple[int, ...]
 class SUElement:
     """Finite rational combination of sorted monomials; the zero element has
     no terms.  Addition and scalar multiplication are algebra-free; products
-    need the structure constants (see su_mul)."""
+    need the structure constants (see su_mul).  Scalars are ints, Fractions
+    or strings; a float or a bool raises LieAlgebraError."""
 
     __slots__ = ("terms",)
 
@@ -33,7 +34,7 @@ class SUElement:
         self.terms: Dict[Monomial, Fraction] = {}
         if terms:
             for mono, c in terms.items():
-                c = Fraction(c)
+                c = _coefficient(c)
                 if c != 0:
                     self.terms[tuple(mono)] = c
 
@@ -47,7 +48,7 @@ class SUElement:
 
     @staticmethod
     def monomial(mono: Sequence[int], coeff=1) -> "SUElement":
-        return SUElement({tuple(mono): Fraction(coeff)})
+        return SUElement({tuple(mono): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -69,7 +70,7 @@ class SUElement:
 
     def __rmul__(self, scalar) -> "SUElement":
         res = SUElement()
-        res.terms = _sparse_scale(Fraction(scalar), self.terms)
+        res.terms = _sparse_scale(_coefficient(scalar), self.terms)
         return res
 
     def __repr__(self) -> str:
@@ -133,7 +134,7 @@ def _straighten(alg: GradedLieAlgebra, words: Dict[Monomial, Fraction]) -> SUEle
 
 def normalize(alg: GradedLieAlgebra, word: Sequence[int], coeff=1) -> SUElement:
     """Straighten a raw word (with scalar) into normal form."""
-    return _straighten(alg, {tuple(word): Fraction(coeff)})
+    return _straighten(alg, {tuple(word): _coefficient(coeff)})
 
 
 def su_mul(alg: GradedLieAlgebra, x: SUElement, y: SUElement) -> SUElement:

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -11,6 +13,7 @@ from gradedlie.freelie import (FreeLieError, GradedAlphabet,
 from gradedlie.groups import GroupSpec, commute
 from conftest import ALGEBRA_FILES
 from test_alphabet import s3_alphabets
+from test_pbw import s5_graded_sum
 
 
 def alphabet_of(alg):
@@ -322,6 +325,64 @@ def test_witt_passes_on_every_fixture_alphabet(all_algebras):
             continue
         report = witt_check(alphabet_of(alg), 5)
         assert report.passed, name
+
+
+def clique_counts(alphabet, d):
+    """(lyndon_count, monomial_dim) at length d without enumerating words: a
+    word survives iff its letter set is a clique of the commuting-letter
+    graph, so both counts are sums over the cliques S, of the surjections of
+    d letters onto S and of the Lyndon words using every letter of S."""
+    def inclusion_exclusion(size, count):
+        return sum((-1) ** (size - j) * comb(size, j) * count(j) for j in range(size + 1))
+    letters = range(alphabet.size)
+    cliques = [s for k in range(1, alphabet.size + 1) for s in combinations(letters, k)
+               if all(commute(alphabet.degrees[a], alphabet.degrees[b])
+                      for a, b in combinations(s, 2))]
+    lyndon = sum(inclusion_exclusion(len(s), lambda j: necklace_count(j, d)) for s in cliques)
+    monomials = sum(inclusion_exclusion(len(s), lambda j: j ** d) for s in cliques)
+    return lyndon, monomials
+
+
+def test_witt_rows_match_clique_counting_oracle(all_algebras):
+    cases = [(alphabet_of(alg), 7 if name == "sl2" else 5) for name, alg in all_algebras.items()]
+    cases += [(alphabet, 4) for alphabet in s3_alphabets() + [s5_graded_sum()]]
+    for alphabet, max_len in cases:
+        rows = witt_check(alphabet, max_len).rows
+        assert [(r.lyndon_count, r.monomial_dim) for r in rows] == \
+            [clique_counts(alphabet, d) for d in range(1, max_len + 1)], alphabet.names
+        assert all(r.passed and r.pbw_rank == r.monomial_dim for r in rows), alphabet.names
+
+
+@pytest.mark.parametrize("name, max_len", [("sl2", 6), ("trivial2", 6), ("heisenberg", 5)])
+def test_witt_check_expands_no_product(monkeypatch, all_algebras, name, max_len):
+    calls = []
+    concat = freelie._concat
+
+    def counting_concat(a, b):
+        calls.append(None)
+        return concat(a, b)
+    monkeypatch.setattr(freelie, "_concat", counting_concat)
+    alphabet = alphabet_of(all_algebras[name])
+    lyndon_basis(alphabet, max_len)
+    basis_calls = len(calls)
+    assert basis_calls > 0
+    witt_check(alphabet, max_len)
+    assert len(calls) == 2 * basis_calls
+
+
+def test_witt_check_raises_on_inhomogeneous_bracketing(monkeypatch, trivial2):
+    original = standard_bracketing
+
+    def bracketing(word):
+        expansion = original(word)
+        if word == (0, 1):
+            # shorter than xy but lexicographically greater: xy still leads
+            expansion[(1,)] = Fraction(1)
+        return expansion
+    monkeypatch.setattr(freelie, "standard_bracketing", bracketing)
+    assert min(freelie.standard_bracketing((0, 1))) == (0, 1)
+    with pytest.raises(ArithmeticError, match="witt_check postcondition failed"):
+        witt_check(alphabet_of(trivial2), 4)
 
 
 # -- partial degree product ---------------------------------------------------------------

@@ -417,3 +417,23 @@ def test_gas_order_independent_and_monotone():
             assert generates_abelian_subgroup(xs) == generates_abelian_subgroup(shuffled)
             if generates_abelian_subgroup(xs):
                 assert generates_abelian_subgroup(xs[:2])
+
+
+def test_element_constructors_take_integers_only():
+    free, fab = GroupSpec.free(2), GroupSpec.free_abelian(2)
+    fpc, z2 = GroupSpec.free_product_cyclic([2, 3]), GroupSpec.finite([[0, 1], [1, 0]])
+    for build in (lambda: free.generator(0, 1.5),
+                  lambda: fpc.generator(1, 2.5),
+                  lambda: fab.generator(0, 0.5),
+                  lambda: fab.generator(1.0),
+                  lambda: free.generator(True),
+                  lambda: z2.element(True),
+                  lambda: z2.element(1.0),
+                  lambda: free.generator(0) ** True,
+                  lambda: z2.element(1) ** 2.0):
+        with pytest.raises(GroupError, match="expected an integer"):
+            build()
+    assert free.generator(0, 3) ** -2 == free.generator(0, -6)
+    assert fpc.generator(1, 2) ** 3 == fpc.identity()
+    assert fab.generator(1, -2) == fab.parse([0, -2])
+    assert z2.element(1) ** 2 == z2.element(0)

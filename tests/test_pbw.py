@@ -355,3 +355,27 @@ def test_su_mul_refuses_bad_letters(sl2, letter):
 def test_monomial_bases_refuse_non_integer_lengths(sl2, enumerate_monomials, max_len):
     with pytest.raises(LieAlgebraError, match="max_len: expected an integer"):
         enumerate_monomials(sl2, max_len)
+
+
+@pytest.mark.parametrize("build", [
+    lambda alg: normalize(alg, (0,), 0.1),
+    lambda alg: normalize(alg, (2, 0), True),
+    lambda alg: SUElement({(0,): True}),
+    lambda alg: SUElement({(0,): 1.0}),
+    lambda alg: 2.5 * SUElement.unit(),
+    lambda alg: False * SUElement.monomial((1,)),
+    lambda alg: SUElement.monomial((0,), 0.1),
+], ids=["normalize-float", "normalize-bool", "init-bool", "init-float", "rmul-float",
+        "rmul-bool", "monomial-float"])
+def test_su_scalars_refuse_floats_and_bools(sl2, build):
+    with pytest.raises(LieAlgebraError, match="coefficient must be an int"):
+        build(sl2)
+
+
+def test_su_scalars_take_ints_fractions_and_strings(sl2):
+    half = Fraction(1, 2)
+    e = SUElement.monomial((0,))
+    assert normalize(sl2, (0,), "1/2") == normalize(sl2, (0,), half) == half * e
+    assert SUElement({(0,): "3"}) == SUElement.monomial((0,), 3) == 3 * e
+    assert SUElement.monomial((0,), "-2/4").terms == {(0,): Fraction(-1, 2)}
+    assert (0 * e).is_zero() and e - e == SUElement.zero()
