@@ -9,9 +9,9 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from gradedlie import linalg, unigroup
 from gradedlie.groups import GroupSpec
 from gradedlie.liealg import GradedLieAlgebra, validate
-from gradedlie.linalg import (_check_smith, _mat_mul, det_int, in_span,
-                              independent_subset, nullspace, rank, row_hnf,
-                              rref, smith_normal_form, solve)
+from gradedlie.linalg import (SmithForm, _check_smith, _mat_mul, det_int,
+                              in_span, independent_subset, nullspace, rank,
+                              row_hnf, rref, smith_normal_form, solve)
 from test_freelie import dense_witt_rows
 
 
@@ -131,6 +131,13 @@ def test_smith_known_values():
     assert smith_normal_form([[1, 2], [3, 4]]).diag == [1, 2]
     assert smith_normal_form([[6, 0], [0, 10]]).diag == [2, 30]
     assert smith_normal_form([[0, 1, 0], [0, 1, 0]]).diag == [1, 0]
+
+
+def test_smith_transforms_pinned():
+    form = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    assert form == SmithForm(diag=[2, 2, 156],
+                             U=[[1, 0, 0], [32, -1, -7], [1221, -38, -267]],
+                             V=[[1, 44, -90], [0, 1, -2], [0, -23, 47]])
 
 
 def test_smith_zero_and_empty():

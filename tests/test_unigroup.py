@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from conftest import FIXTURES, load
+from test_linalg import _matrix_lie_algebra
+from test_pbw import s5_graded_sum
 
 from gradedlie.groups import GroupSpec
-from gradedlie.unigroup import (CoarseningError, Presentation, abelianize,
-                                coarsening_check, is_abelian_grading,
-                                is_abelian_presentation, support,
-                                universal_presentation)
+from gradedlie.unigroup import (AbelianizationData, CoarseningError,
+                                Presentation, abelianize, coarsening_check,
+                                is_abelian_grading, is_abelian_presentation,
+                                support, universal_presentation)
 
 
 # -- support -----------------------------------------------------------------------
@@ -45,6 +48,29 @@ def test_presentation_heisenberg(heisenberg):
     assert len(pres.relations) == 2
     assert ("[1,0]", "[0,1]", "[1,1]") in pres.relations
     assert ("[0,1]", "[1,0]", "[1,1]") in pres.relations
+
+
+def presentation_by_definition(alg):
+    """The support labels, and one relation s1*s2 = s3 for every ordered
+    pair of components with some nonzero bracket_basis(i, j) between them."""
+    comps = alg.components()
+    label = {deg: alg.group.format(deg) for deg, _ in comps}
+    relations = [(label[deg_a], label[deg_b], label[deg_a * deg_b])
+                 for deg_a, idxs_a in comps for deg_b, idxs_b in comps
+                 if any(alg.bracket_basis(i, j) for i in idxs_a for j in idxs_b)]
+    return list(label.values()), relations
+
+
+def test_presentation_matches_all_ordered_pairs_definition():
+    algebras = {path.stem: load(path.stem) for path in sorted(FIXTURES.glob("*.alg"))}
+    for n in (3, 4):
+        algebras[f"gl{n}"] = _matrix_lie_algebra(n, False)
+        algebras[f"sl{n}"] = _matrix_lie_algebra(n, True)
+    algebras["s5_sum"] = s5_graded_sum()
+    assert len(algebras) == 12
+    for name, alg in algebras.items():
+        pres = universal_presentation(alg)
+        assert (pres.generators, pres.relations) == presentation_by_definition(alg), name
 
 
 # -- abelianization ------------------------------------------------------------------
@@ -197,3 +223,30 @@ def test_coarsening_mixed_backends_raise(sl2):
     with pytest.raises(CoarseningError, match="different groups"):
         coarsening_check(sl2, {one: z.parse([1]), zero: z2.element(0),
                                minus: z.parse([1])})
+
+
+# -- pinned transform-dependent outputs ------------------------------------------------
+
+def test_abelianization_pinned_with_torsion_images():
+    # non-unit pivots and one divisibility repair in the Smith form: Z/2 x Z/4
+    pres = Presentation(list("abcdef"),
+                        [("c", "f", "f"), ("b", "b", "c"), ("d", "e", "f"), ("c", "c", "e"),
+                         ("f", "c", "f"), ("d", "d", "b"), ("a", "a", "c")])
+    assert abelianize(pres) == AbelianizationData(
+        generators=["a", "b", "c", "d", "e", "f"], free_rank=0, invariant_factors=[2, 4],
+        images=[(1, 0), (0, 2), (0, 0), (0, 3), (0, 0), (0, 3)])
+    verdict = is_abelian_presentation(pres)
+    assert not verdict.is_abelian and verdict.collisions == [("c", "e"), ("d", "f")]
+
+
+def test_is_abelian_gl5_pinned():
+    # the 21 x 180 relation matrix; the root e_i - e_j maps to -(x_2..x_5)
+    gl5 = _matrix_lie_algebra(5, False)
+    pres = universal_presentation(gl5)
+    assert (len(pres.generators), len(pres.relations)) == (21, 180)
+    verdict = is_abelian_grading(gl5)
+    assert verdict.is_abelian and verdict.collisions == []
+    assert verdict.data.describe() == "Z^4"
+    for label, image in zip(verdict.data.generators, verdict.data.images):
+        vec = gl5.group.parse(label).data
+        assert image == tuple(-x for x in vec[1:]), label
