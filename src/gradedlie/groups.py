@@ -186,6 +186,8 @@ class GroupSpec:
     # -- arithmetic --------------------------------------------------------
 
     def _claim(self, elem: "GroupElement") -> None:
+        if not isinstance(elem, GroupElement):
+            raise GroupError(f"expected an element of a {self.kind} group, got {elem!r}")
         if elem.spec != self:
             raise BackendMismatch(
                 f"element of a {elem.spec.kind} group used with a {self.kind} group")
@@ -250,6 +252,8 @@ class GroupElement:
     data: Union[int, tuple]
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
+        if not isinstance(other, GroupElement):
+            return NotImplemented
         return self.spec.mul(self, other)
 
     def __pow__(self, n: int) -> "GroupElement":

@@ -5,11 +5,14 @@ for reduced row echelon forms, ranks, null spaces, solutions, span
 membership and independent subsets (rows are scaled to integers once and
 Fractions are built only for the outputs that need them), a zero-skipping
 matrix product, and an integer Smith normal form D = U*M*V.  Its transforms
-are tracked together with their inverses, and every call checks U*M*V = D,
-the diagonal and its divisibility chain, and U*U^-1 = V^-1*V = I: integer
-matrices with integer inverses, hence unimodular.  Sparse vectors (dicts
-from keys to nonzero coefficients) share one accumulator, and sparse
-combinations of words one product.  No floating point anywhere.
+are tracked together with their inverses, the wide column transforms V and
+V^-1 as sparse rows made dense once at the end, and every call checks
+U*M*V = D, the diagonal and its divisibility chain, and U*U^-1 = V^-1*V = I:
+integer matrices with integer inverses, hence unimodular.  The integer
+kernels (Smith form, Hermite form, determinant) take int entries only and
+coerce nothing.  Sparse vectors (dicts from keys to nonzero coefficients)
+share one accumulator, and sparse combinations of words one product.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -183,12 +186,28 @@ def _concat(a: dict, b: dict) -> dict:
 
 # -- integer matrices ---------------------------------------------------------
 
+def _integer_matrix(rows: Sequence[Sequence[int]]) -> List[List[int]]:
+    """A copy of the rows as lists of ints.  An entry that is not an int (a
+    bool, float, str or Fraction) raises TypeError naming its row and
+    column, and a row of another length than the first raises ValueError."""
+    m = [list(row) for row in rows]
+    width = len(m[0]) if m else 0
+    for r, row in enumerate(m):
+        if len(row) != width:
+            raise ValueError(f"row {r} has {len(row)} entries, expected {width}")
+        if not set(map(type, row)) <= {int}:
+            for c, x in enumerate(row):
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise TypeError(f"entry ({r},{c}) must be an integer, got {x!r}")
+    return m
+
+
 def det_int(rows: Sequence[Sequence[int]]) -> int:
     """Fraction-free (Bareiss) determinant of an integer matrix."""
     n = len(rows)
     if n == 0:
         return 1
-    m = [[int(x) for x in row] for row in rows]
+    m = _integer_matrix(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -247,6 +266,17 @@ def _transpose(rows: List[List[int]]) -> List[List[int]]:
     return [list(col) for col in zip(*rows)]
 
 
+def _dense(rows: List[dict], width: int) -> List[List[int]]:
+    """Sparse rows (dicts from column to entry) as dense lists."""
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for k, x in row.items():
+            dense[k] = x
+        out.append(dense)
+    return out
+
+
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
     """Exact Smith normal form of an integer matrix, with postconditions
     verified on every call: U*M*V = D, D diagonal, the divisibility chain,
@@ -257,14 +287,20 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
     V^-1, and the check multiplies them out to the identity.  An integer
     matrix with an integer inverse has determinant +-1, so this is as exact
     as a determinant and costs two sparse products instead of an O(n^3)
-    elimination."""
-    M = [[int(x) for x in row] for row in rows]
+    elimination.
+
+    The column transforms V and V^-1 are tracked as sparse rows (dicts from
+    column to nonzero entry), since a wide relation matrix leaves them
+    mostly zero, and made dense once, at the end, for the result and the
+    check."""
+    M = _integer_matrix(rows)
     m = len(M)
     n = len(M[0]) if m else 0
     # V and U^-1 are kept transposed, so that every update of a transform or
     # an inverse is a row operation
-    U, V_t = _identity(m), _identity(n)
-    Ui_t, Vi = _identity(m), _identity(n)
+    U, Ui_t = _identity(m), _identity(m)
+    V_t = [{i: 1} for i in range(n)]
+    Vi = [{i: 1} for i in range(n)]
 
     def swap_rows(i, j):
         M[i], M[j] = M[j], M[i]
@@ -287,8 +323,12 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
         # column_dst += q * column_src; on V^-1, row_src -= q * row_dst
         for row in M:
             row[dst] += q * row[src]
-        V_t[dst] = [a + q * b for a, b in zip(V_t[dst], V_t[src])]
-        Vi[src] = [a - q * b for a, b in zip(Vi[src], Vi[dst])]
+        acc = V_t[dst]
+        for k, x in V_t[src].items():
+            _accumulate(acc, k, q * x)
+        acc = Vi[src]
+        for k, x in Vi[dst].items():
+            _accumulate(acc, k, -q * x)
 
     def negate_row(i):
         M[i] = [-x for x in M[i]]
@@ -297,11 +337,17 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
 
     t = 0
     while t < min(m, n):
-        piv = None
+        # the least |entry| of the block, first in row-major order; no entry
+        # after a unit can be smaller, so the scan stops there
+        piv, least = None, 0
         for i in range(t, m):
-            for j in range(t, n):
-                if M[i][j] != 0 and (piv is None or abs(M[i][j]) < abs(M[piv[0]][piv[1]])):
-                    piv = (i, j)
+            for j, x in enumerate(M[i][t:], t):
+                if x and (piv is None or abs(x) < least):
+                    piv, least = (i, j), abs(x)
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if piv is None:
             break
         if piv[0] != t:
@@ -331,21 +377,24 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
                         dirty = True
             if dirty:
                 continue
-            # enforce divisibility of the remaining block by the pivot
+            # enforce divisibility of the remaining block by the pivot; a
+            # unit divides everything
+            p = M[t][t]
             fixed = True
-            for i in range(t + 1, m):
-                if any(M[i][j] % M[t][t] != 0 for j in range(t + 1, n)):
-                    add_row(t, i, 1)
-                    fixed = False
-                    break
+            if abs(p) != 1:
+                for i in range(t + 1, m):
+                    if any(M[i][j] % p != 0 for j in range(t + 1, n)):
+                        add_row(t, i, 1)
+                        fixed = False
+                        break
             if fixed:
                 break
         if M[t][t] < 0:
             negate_row(t)
         t += 1
 
-    V = _transpose(V_t)
-    _check_smith(rows, M, U, V, _transpose(Ui_t), Vi)
+    V = _transpose(_dense(V_t, n))
+    _check_smith(rows, M, U, V, _transpose(Ui_t), _dense(Vi, n))
     return SmithForm(diag=[M[i][i] for i in range(min(m, n))], U=U, V=V)
 
 
@@ -354,7 +403,7 @@ def _check_smith(orig, D, U, V, U_inv, V_inv) -> None:
     U*U_inv = I and V_inv*V = I."""
     m = len(D)
     n = len(D[0]) if m else 0
-    prod = _mat_mul(_mat_mul(U, [list(map(int, r)) for r in orig]), V)
+    prod = _mat_mul(_mat_mul(U, orig), V)
     if prod != D:
         raise ArithmeticError("smith normal form postcondition failed: U*M*V != D")
     for i in range(m):
@@ -375,7 +424,7 @@ def row_hnf(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     """Row-style Hermite normal form (unimodular row operations only):
     echelon over Z, positive pivots, entries above each pivot reduced into
     [0, pivot).  Canonicalizes a basis of a row lattice."""
-    M = [[int(x) for x in row] for row in rows]
+    M = _integer_matrix(rows)
     m = len(M)
     n = len(M[0]) if m else 0
     r = 0

@@ -37,23 +37,26 @@ class Presentation:
 
 def universal_presentation(alg: GradedLieAlgebra) -> Presentation:
     """One relation per ordered support pair (s1, s2) with a nonzero bracket
-    between the components; both orders appear, duplicates and all."""
+    between the components; both orders appear, duplicates and all.
+
+    The pairs are read off the stored brackets, which are exactly the
+    nonzero ones, and emitted in the order of the support."""
     comps = alg.components()
     labels = [alg.group.format(deg) for deg, _ in comps]
     label_of = {deg: labels[p] for p, (deg, _) in enumerate(comps)}
+    comp_of = {i: p for p, (_, idxs) in enumerate(comps) for i in idxs}
+    pairs = set()
+    for i, j in alg.brackets:
+        pairs.add((comp_of[i], comp_of[j]))
+        pairs.add((comp_of[j], comp_of[i]))
     relations: List[Tuple[str, str, str]] = []
-    for a, (deg_a, idxs_a) in enumerate(comps):
-        for b, (deg_b, idxs_b) in enumerate(comps):
-            nonzero = any(alg.bracket_basis(i, j)
-                          for i in idxs_a for j in idxs_b)
-            if not nonzero:
-                continue
-            prod = deg_a * deg_b
-            if prod not in label_of:
-                raise LieAlgebraError(
-                    f"bracket lands outside the support at degree {alg.group.format(prod)}; "
-                    "validate the algebra first")
-            relations.append((labels[a], labels[b], label_of[prod]))
+    for a, b in sorted(pairs):
+        prod = comps[a][0] * comps[b][0]
+        if prod not in label_of:
+            raise LieAlgebraError(
+                f"bracket lands outside the support at degree {alg.group.format(prod)}; "
+                "validate the algebra first")
+        relations.append((labels[a], labels[b], label_of[prod]))
     return Presentation(labels, relations)
 
 

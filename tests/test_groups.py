@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -437,3 +438,22 @@ def test_element_constructors_take_integers_only():
     assert fpc.generator(1, 2) ** 3 == fpc.identity()
     assert fab.generator(1, -2) == fab.parse([0, -2])
     assert z2.element(1) ** 2 == z2.element(0)
+
+
+def test_non_elements_are_refused_on_every_backend():
+    for spec in ALL_SPECS:
+        g = random_element(spec, random.Random(3))
+        for other in (2, 1.5, "a", None, (0, 1)):
+            named = re.escape(f"got {other!r}")
+            with pytest.raises(TypeError):
+                g * other
+            with pytest.raises(TypeError):
+                other * g
+            with pytest.raises(GroupError, match=named):
+                spec.mul(g, other)
+            with pytest.raises(GroupError, match=named):
+                spec.mul(other, g)
+            with pytest.raises(GroupError, match=named):
+                spec.inv(other)
+            with pytest.raises(GroupError, match=named):
+                mul(g, other)

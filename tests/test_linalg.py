@@ -269,6 +269,37 @@ def test_smith_check_rejects_corrupted_transforms_and_inverses(monkeypatch):
         _check_smith([[0]], [[0]], [[1]], [[3]], [[1]], [[1]])
 
 
+@pytest.mark.parametrize("entry", [1.5, 2.0, Fraction(3, 2), Fraction(2), True, False, "3", None])
+def test_integer_kernels_refuse_non_integer_entries(entry):
+    for kernel in (smith_normal_form, row_hnf, det_int):
+        with pytest.raises(TypeError, match=r"entry \(1,0\) must be an integer"):
+            kernel([[1, 2], [entry, 4]])
+
+
+def test_integer_kernels_do_not_truncate():
+    with pytest.raises(TypeError, match=r"entry \(0,0\)"):
+        smith_normal_form([[1.5, 0], [0, 2]])
+    with pytest.raises(TypeError, match=r"entry \(0,0\)"):
+        row_hnf([[2.7, 1]])
+    with pytest.raises(TypeError, match=r"entry \(0,0\)"):
+        det_int([[2.5, 0], [0, 2]])
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], []]])
+def test_integer_kernels_refuse_ragged_rows(rows):
+    for kernel in (smith_normal_form, row_hnf, det_int):
+        with pytest.raises(ValueError, match="row [12] has [0-9]+ entries, expected"):
+            kernel(rows)
+
+
+def test_integer_kernels_take_tuples_and_int_subclasses():
+    class Small(int):
+        pass
+    assert smith_normal_form(((2, 4), (Small(6), 8))).diag == [2, 4]
+    assert row_hnf(((Small(2), 1), (1, 1))) == [[1, 0], [0, 1]]
+    assert det_int(((Small(2), 1), (1, 1))) == 1
+
+
 # -- hermite row normalization --------------------------------------------------------
 
 def test_row_hnf_known():
