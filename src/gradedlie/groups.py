@@ -274,10 +274,17 @@ class GroupElement:
 # -- module-level operations -------------------------------------------------
 
 def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a.spec.mul(a, b)
+    """a * b in the group of whichever operand is an element; an operand that
+    is not an element raises GroupError naming it."""
+    owner = a if isinstance(a, GroupElement) else b
+    if not isinstance(owner, GroupElement):
+        raise GroupError(f"expected a group element, got {a!r}")
+    return owner.spec.mul(a, b)
 
 
 def inv(a: GroupElement) -> GroupElement:
+    if not isinstance(a, GroupElement):
+        raise GroupError(f"expected a group element, got {a!r}")
     return a.spec.inv(a)
 
 

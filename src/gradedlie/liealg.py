@@ -303,18 +303,26 @@ def _check_jacobi(alg: GradedLieAlgebra) -> CheckResult:
 
 def center(alg: GradedLieAlgebra) -> List[LieVector]:
     """Homogeneous basis of {x : [x, L] = 0}, computed per component so every
-    returned vector is homogeneous."""
+    returned vector is homogeneous.
+
+    A component's equations have one row per basis letter j and target k
+    with [e_i, e_j] = ... + c e_k + ... for some letter i of the component;
+    the rows are read off the stored brackets, in both orders, and sorted by
+    (j, k).  The null space basis is the canonical one of the reduced row
+    echelon form, so it depends only on the rows' span."""
+    comps = alg.components()
+    where = {i: (p, t) for p, (_, idxs) in enumerate(comps) for t, i in enumerate(idxs)}
+    rows: List[Dict[Tuple[int, int], Dict[int, Fraction]]] = [{} for _ in comps]
+    for (i, j), terms in alg.brackets.items():
+        for a, b, expansion in ((i, j, terms), (j, i, [(k, -c) for k, c in terms])):
+            p, t = where[a]
+            for k, c in expansion:
+                rows[p].setdefault((b, k), {})[t] = c
     out: List[LieVector] = []
-    for _, idxs in alg.components():
-        rows = []
-        for j in range(alg.n):
-            cols = [dict(alg.bracket_basis(i, j)) for i in idxs]
-            targets = sorted({k for col in cols for k in col})
-            for k in targets:
-                rows.append([col.get(k, Fraction(0)) for col in cols])
-        for sol in linalg.nullspace(rows, len(idxs)):
-            vec = {idxs[t]: c for t, c in enumerate(sol) if c != 0}
-            out.append(vec)
+    for (_, idxs), eqs in zip(comps, rows):
+        dense = [[row.get(t, 0) for t in range(len(idxs))] for _, row in sorted(eqs.items())]
+        for sol in linalg.nullspace(dense, len(idxs)):
+            out.append({idxs[t]: c for t, c in enumerate(sol) if c != 0})
     return out
 
 
@@ -360,20 +368,37 @@ def check_block_invariant(alg: GradedLieAlgebra, mat: EndoMatrix) -> None:
 def inner_derivations(alg: GradedLieAlgebra) -> List[EndoMatrix]:
     """The adjoint maps ad e_i with declared degree deg e_i, thinned to a
     linearly independent set.  Column j of ad e_i holds [e_i, e_j]; the maps
-    that vanish (no stored bracket) are left out."""
+    that vanish (no stored bracket) are left out.
+
+    The maps are kept greedily in index order.  Independence is decided on
+    the coordinates (k, j) where some map is nonzero, with each map scaled
+    to integers; only the kept maps are made dense."""
+    ads: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
+    for (i, j), terms in alg.brackets.items():
+        ad_i = ads.setdefault(i, {})
+        ad_j = ads.setdefault(j, {})
+        for k, c in terms:
+            ad_i[(k, j)] = c
+            ad_j[(k, i)] = -c
+    order = sorted(ads)
+    coords = {kj: p for p, kj in enumerate(dict.fromkeys(kj for i in order for kj in ads[i]))}
+    vectors = []
+    for i in order:
+        vec = [0] * len(coords)
+        for kj, x in zip(ads[i], _integer_row(list(ads[i].values()))):
+            vec[coords[kj]] = x
+        vectors.append(vec)
+    kept = linalg.independent_subset(vectors)
     n = alg.n
     zero = Fraction(0)
-    ads: Dict[int, List[List[Fraction]]] = {}
-    for (i, j), terms in alg.brackets.items():
-        ad_i = ads.setdefault(i, [[zero] * n for _ in range(n)])
-        ad_j = ads.setdefault(j, [[zero] * n for _ in range(n)])
-        for k, c in terms:
-            ad_i[k][j] = c
-            ad_j[k][i] = -c
-    order = sorted(ads)
-    kept = linalg.independent_subset([[x for row in ads[i] for x in row] for i in order])
-    return [EndoMatrix(tuple(map(tuple, ads[order[t]])), alg.degree(order[t]),
-                       f"ad {alg.name(order[t])}") for t in kept]
+    out = []
+    for t in kept:
+        i = order[t]
+        rows = [[zero] * n for _ in range(n)]
+        for (k, j), c in ads[i].items():
+            rows[k][j] = c
+        out.append(EndoMatrix(tuple(map(tuple, rows)), alg.degree(i), f"ad {alg.name(i)}"))
+    return out
 
 
 @dataclass

@@ -195,7 +195,11 @@ def coarsening_check(alg: GradedLieAlgebra,
     """Verify that merging components along the relabeling yields a valid
     grading: for every nonzero basis bracket the coarse labels must satisfy
     p(deg e_i) * p(deg e_j) = p(deg e_i * deg e_j).  Non-total relabelings
-    raise; compatibility failures are reported with the offending pair."""
+    raise; compatibility failures are reported with the offending pair.
+
+    The pairs are the stored brackets, which are exactly the nonzero ones,
+    in both orders and sorted, so the witness is the first failing pair in
+    row-major order."""
     supp = support(alg)
     for deg in supp:
         if deg not in relabel:
@@ -205,18 +209,16 @@ def coarsening_check(alg: GradedLieAlgebra,
     if len(coarse_specs) > 1:
         raise CoarseningError("coarse labels live in different groups")
 
-    for i in range(alg.n):
-        for j in range(alg.n):
-            if i == j or not alg.bracket_basis(i, j):
-                continue
-            gi, gj = alg.degree(i), alg.degree(j)
-            lhs = relabel[gi] * relabel[gj]
-            rhs = relabel[gi * gj]
-            if lhs != rhs:
-                return CoarseningReport(
-                    False, witness=(i, j),
-                    reason=f"bracket ({alg.name(i)},{alg.name(j)}) needs "
-                           f"{relabel[gi].spec.format(lhs)} = {relabel[gi].spec.format(rhs)}")
+    coarse = [relabel[deg] for deg in alg.degrees]
+    for i, j in sorted(p for i, j in alg.brackets for p in ((i, j), (j, i))):
+        lhs = coarse[i] * coarse[j]
+        rhs = relabel[alg.degree(i) * alg.degree(j)]
+        if lhs != rhs:
+            spec = coarse[i].spec
+            return CoarseningReport(
+                False, witness=(i, j),
+                reason=f"bracket ({alg.name(i)},{alg.name(j)}) needs "
+                       f"{spec.format(lhs)} = {spec.format(rhs)}")
 
     support_map = [(deg, relabel[deg]) for deg in supp]
     merges = [(coarse, [supp[p] for p in fines])

@@ -457,3 +457,17 @@ def test_non_elements_are_refused_on_every_backend():
                 spec.inv(other)
             with pytest.raises(GroupError, match=named):
                 mul(g, other)
+
+
+def test_module_level_operations_name_a_left_non_element():
+    for spec in ALL_SPECS:
+        g = random_element(spec, random.Random(5))
+        for other in (2, 1.5, "a", None, (0, 1)):
+            named = re.escape(f"got {other!r}")
+            with pytest.raises(GroupError, match=named):
+                mul(other, g)
+            with pytest.raises(GroupError, match=named):
+                inv(other)
+        with pytest.raises(GroupError, match=re.escape("got 2")):
+            mul(2, 3)
+        assert mul(g, inv(g)) == spec.identity()

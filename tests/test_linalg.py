@@ -524,3 +524,20 @@ def test_kernel_matches_fraction_elimination_on_witt_rows(sl2):
     assert len(rows) == len(rows[0]) == 243
     rhs = [Fraction(i % 5 - 2, 1 + i % 3) for i in range(len(rows))]
     _assert_kernel_matches_reference(rows, len(rows[0]), rhs)
+
+
+def test_smith_check_rejects_a_changed_entry_anywhere(monkeypatch):
+    captured = []
+    monkeypatch.setattr(linalg, "_check_smith",
+                        lambda *args: captured.append(args) or _check_smith(*args))
+    rng = random.Random(29)
+    for _ in range(25):
+        smith_normal_form(random_int_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7)))
+    for args in captured:  # orig, D, U, V, U^-1, V^-1
+        _check_smith(*args)
+        for pos in range(6):
+            bad = [list(row) for row in args[pos]]
+            r, c = rng.randrange(len(bad)), rng.randrange(len(bad[0]))
+            bad[r][c] += rng.choice((-2, -1, 1, 3))
+            with pytest.raises(ArithmeticError):
+                _check_smith(*args[:pos], bad, *args[pos + 1:])

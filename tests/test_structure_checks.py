@@ -11,6 +11,7 @@ from test_groups import s3_spec
 from test_linalg import _matrix_lie_algebra
 from test_pbw import s5_graded_sum
 
+from gradedlie import pbw
 from gradedlie.groups import GroupSpec
 from gradedlie.liealg import GradedLieAlgebra, center, inner_derivations
 from gradedlie.linalg import nullspace, rank
@@ -215,3 +216,38 @@ def test_coarsening_check_keeps_a_witness_with_i_greater_than_j(heisenberg):
     assert not report.ok
     assert report.witness == (1, 0)
     assert report.reason == (f"bracket (y,x) needs {S3.format(t * s)} = {S3.format(s * t)}")
+
+
+# -- work done -------------------------------------------------------------------------
+
+def test_embed_check_straightens_once_per_unordered_pair(monkeypatch, algebras):
+    calls = []
+    straighten = pbw._straighten
+
+    def counting_straighten(alg, words):
+        calls.append(None)
+        return straighten(alg, words)
+    monkeypatch.setattr(pbw, "_straighten", counting_straighten)
+    for name, alg in algebras.items():
+        calls.clear()
+        embed_check(alg)
+        assert len(calls) == alg.n * (alg.n - 1) // 2, name
+
+
+@pytest.mark.parametrize("check", [
+    center,
+    inner_derivations,
+    lambda alg: coarsening_check(alg, {d: d for d in support(alg)}),
+], ids=["center", "inner_derivations", "coarsening_check"])
+def test_structure_checks_read_each_stored_pair_at_most_once(monkeypatch, algebras, check):
+    calls = []
+    bracket_basis = GradedLieAlgebra.bracket_basis
+
+    def counting_bracket_basis(self, i, j):
+        calls.append(None)
+        return bracket_basis(self, i, j)
+    monkeypatch.setattr(GradedLieAlgebra, "bracket_basis", counting_bracket_basis)
+    for name, alg in algebras.items():
+        calls.clear()
+        check(alg)
+        assert len(calls) <= len(alg.brackets), name
