@@ -13,7 +13,7 @@ from test_pbw import s5_graded_sum
 
 from gradedlie import pbw
 from gradedlie.groups import GroupSpec
-from gradedlie.liealg import GradedLieAlgebra, center, inner_derivations
+from gradedlie.liealg import GradedLieAlgebra, LieAlgebraError, center, inner_derivations
 from gradedlie.linalg import nullspace, rank
 from gradedlie.pbw import EmbedReport, SUElement, embed_check, normalize
 from gradedlie.unigroup import coarsening_check, support
@@ -251,3 +251,11 @@ def test_structure_checks_read_each_stored_pair_at_most_once(monkeypatch, algebr
         calls.clear()
         check(alg)
         assert len(calls) <= len(alg.brackets), name
+
+
+def test_coarsening_check_refuses_a_bracket_outside_the_support():
+    # deg x * deg y = st is no degree of the algebra, so it does not validate
+    s, t = S3.element(2), S3.element(1)
+    alg = GradedLieAlgebra(S3, [s, t, S3.identity()], {(0, 1): [(2, 1)]}, ["x", "y", "z"])
+    with pytest.raises(LieAlgebraError, match="outside the support"):
+        coarsening_check(alg, {d: d for d in support(alg)})
