@@ -105,6 +105,12 @@ def structure_algebras():
         algebras[f"sl{n}"] = _matrix_lie_algebra(n, True)
     algebras["s5_sum"] = s5_graded_sum()
     assert len(algebras) == 12
+    # a1 < b < a2 share a component and [a1, b] = k = [b, a2]: the row of
+    # (b, k) takes one entry from each stored order, and a1 + a2 is central
+    z = GroupSpec.free_abelian(1)
+    algebras["both_orders"] = GradedLieAlgebra(
+        z, [z.parse([0]), z.parse([1]), z.parse([0]), z.parse([1])],
+        {(0, 1): [(3, 1)], (1, 2): [(3, 1)]}, ["a1", "b", "a2", "k"])
     rng = random.Random(131)
     for t in range(12):
         algebras[f"s3_random{t}"] = random_s3_table(rng, rng.randrange(3, 9))
@@ -119,6 +125,7 @@ def algebras():
 # -- equivalence with the definitions --------------------------------------------------
 
 def test_center_matches_definition(algebras):
+    assert center(algebras["both_orders"]) == [{0: 1, 2: 1}, {3: 1}]
     nontrivial = 0
     for name, alg in algebras.items():
         got = center(alg)
@@ -215,7 +222,7 @@ def test_coarsening_check_keeps_a_witness_with_i_greater_than_j(heisenberg):
     report = coarsening_check(heisenberg, {x: s, y: t, z: s * t})
     assert not report.ok
     assert report.witness == (1, 0)
-    assert report.reason == (f"bracket (y,x) needs {S3.format(t * s)} = {S3.format(s * t)}")
+    assert report.reason == f"bracket (y,x) needs {S3.format(t * s)} = {S3.format(s * t)}"
 
 
 # -- work done -------------------------------------------------------------------------
