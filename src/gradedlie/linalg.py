@@ -427,12 +427,12 @@ def _check_smith(orig, D, U, V, U_inv, V_inv) -> None:
     are mostly zero."""
     m = len(D)
     n = len(D[0]) if m else 0
-    d_rows, v_rows = _nonzeros(D), _nonzeros(V)
-    if _sparse_mul(_sparse_mul(_nonzeros(U), _nonzeros(orig)), v_rows) != d_rows:
+    d_rows, u_rows, v_rows = _nonzeros(D), _nonzeros(U), _nonzeros(V)
+    if _sparse_mul(_sparse_mul(u_rows, _nonzeros(orig)), v_rows) != d_rows:
         raise ArithmeticError("smith normal form postcondition failed: U*M*V != D")
     if any(row.keys() - {i} for i, row in enumerate(d_rows)):
         raise ArithmeticError("smith normal form postcondition failed: D not diagonal")
-    if (_sparse_mul(_nonzeros(U), _nonzeros(U_inv)) != [{i: 1} for i in range(m)]
+    if (_sparse_mul(u_rows, _nonzeros(U_inv)) != [{i: 1} for i in range(m)]
             or _sparse_mul(_nonzeros(V_inv), v_rows) != [{i: 1} for i in range(n)]):
         raise ArithmeticError("smith normal form postcondition failed: transform not unimodular")
     diag = [D[i][i] for i in range(min(m, n))]
