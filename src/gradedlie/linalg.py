@@ -6,13 +6,13 @@ membership and independent subsets (rows are scaled to integers once and
 Fractions are built only for the outputs that need them), a zero-skipping
 matrix product, and an integer Smith normal form D = U*M*V.  Its transforms
 are tracked together with their inverses, the wide column transforms V and
-V^-1 as sparse rows made dense once at the end, and every call checks, on
-the nonzero entries, U*M*V = D, the diagonal and its divisibility chain,
-and U*U^-1 = V^-1*V = I: integer matrices with integer inverses, hence
-unimodular.  The integer kernels (Smith form, Hermite form, determinant)
-take int entries only and coerce nothing.  Sparse vectors (dicts from keys
-to nonzero coefficients) share one accumulator, and sparse combinations of
-words one product.  No floating point anywhere.
+V^-1 as sparse rows made dense once at the end, and every call checks
+U*M*V = D, the diagonal and its divisibility chain, and U*U^-1 = V^-1*V = I:
+integer matrices with integer inverses, hence unimodular.  The integer
+kernels (Smith form, Hermite form, determinant) take int entries only and
+coerce nothing.  Sparse vectors (dicts from keys to nonzero coefficients)
+share one accumulator, and sparse combinations of words one product.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 Vector = List[Fraction]
@@ -292,9 +291,8 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
 
     The column transforms V and V^-1 are tracked as sparse rows (dicts from
     column to nonzero entry), since a wide relation matrix leaves them
-    mostly zero, and made dense once, at the end, for the result.  The
-    check reads the dense matrices back as their nonzero entries and
-    multiplies those."""
+    mostly zero, and made dense once, at the end, for the result and the
+    check."""
     M = _integer_matrix(rows)
     m = len(M)
     n = len(M[0]) if m else 0
@@ -400,40 +398,19 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
     return SmithForm(diag=[M[i][i] for i in range(min(m, n))], U=U, V=V)
 
 
-def _nonzeros(rows: Sequence[Sequence[int]]) -> List[dict]:
-    """Each dense row as a dict from column to nonzero entry; compress finds
-    the nonzero columns, so a mostly-zero row costs little."""
-    return [dict(compress(enumerate(row), row)) for row in rows]
-
-
-def _sparse_mul(a: List[dict], b: List[dict]) -> List[dict]:
-    """The product of two matrices given as sparse rows, as sparse rows."""
-    out = []
-    for ai in a:
-        acc: dict = {}
-        for k, f in ai.items():
-            for j, x in b[k].items():
-                acc[j] = acc.get(j, 0) + f * x
-        out.append({j: x for j, x in acc.items() if x})
-    return out
-
-
 def _check_smith(orig, D, U, V, U_inv, V_inv) -> None:
     """Raise ArithmeticError unless U*orig*V = D is a Smith normal form with
-    U*U_inv = I and V_inv*V = I.
-
-    Each matrix is read once, as the nonzero entries of its rows, and the
-    products are taken on those: the wide V and V_inv of a relation matrix
-    are mostly zero."""
+    U*U_inv = I and V_inv*V = I."""
     m = len(D)
     n = len(D[0]) if m else 0
-    d_rows, u_rows, v_rows = _nonzeros(D), _nonzeros(U), _nonzeros(V)
-    if _sparse_mul(_sparse_mul(u_rows, _nonzeros(orig)), v_rows) != d_rows:
+    prod = _mat_mul(_mat_mul(U, orig), V)
+    if prod != D:
         raise ArithmeticError("smith normal form postcondition failed: U*M*V != D")
-    if any(row.keys() - {i} for i, row in enumerate(d_rows)):
-        raise ArithmeticError("smith normal form postcondition failed: D not diagonal")
-    if (_sparse_mul(u_rows, _nonzeros(U_inv)) != [{i: 1} for i in range(m)]
-            or _sparse_mul(_nonzeros(V_inv), v_rows) != [{i: 1} for i in range(n)]):
+    for i in range(m):
+        for j in range(n):
+            if i != j and D[i][j] != 0:
+                raise ArithmeticError("smith normal form postcondition failed: D not diagonal")
+    if _mat_mul(U, U_inv) != _identity(m) or _mat_mul(V_inv, V) != _identity(n):
         raise ArithmeticError("smith normal form postcondition failed: transform not unimodular")
     diag = [D[i][i] for i in range(min(m, n))]
     for a, b in zip(diag, diag[1:]):

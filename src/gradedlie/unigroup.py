@@ -195,9 +195,10 @@ def coarsening_check(alg: GradedLieAlgebra,
     """Verify that merging components along the relabeling yields a valid
     grading: for every nonzero basis bracket the coarse labels must satisfy
     p(deg e_i) * p(deg e_j) = p(deg e_i * deg e_j).  Non-total relabelings
-    raise CoarseningError, and a bracket whose degree product lies outside
-    the support (an algebra that does not validate) LieAlgebraError;
-    compatibility failures are reported with the offending pair.
+    raise CoarseningError, and a bracket whose degree product the
+    relabeling does not cover (a product outside the support, so an algebra
+    that does not validate) LieAlgebraError; compatibility failures are
+    reported with the offending pair.
 
     The pairs are the stored brackets, which are exactly the nonzero ones,
     in both orders and sorted, so the witness is the first failing pair in
@@ -211,16 +212,16 @@ def coarsening_check(alg: GradedLieAlgebra,
     if len(coarse_specs) > 1:
         raise CoarseningError("coarse labels live in different groups")
 
-    inside = set(supp)
     image = [relabel[deg] for deg in alg.degrees]
     for i, j in sorted(p for i, j in alg.brackets for p in ((i, j), (j, i))):
         prod = alg.degree(i) * alg.degree(j)
-        if prod not in inside:
+        try:
+            rhs = relabel[prod]
+        except KeyError:
             raise LieAlgebraError(
                 f"bracket lands outside the support at degree {alg.group.format(prod)}; "
-                "validate the algebra first")
+                "validate the algebra first") from None
         lhs = image[i] * image[j]
-        rhs = relabel[prod]
         if lhs != rhs:
             spec = image[i].spec
             return CoarseningReport(

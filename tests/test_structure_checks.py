@@ -266,3 +266,15 @@ def test_coarsening_check_refuses_a_bracket_outside_the_support():
     alg = GradedLieAlgebra(S3, [s, t, S3.identity()], {(0, 1): [(2, 1)]}, ["x", "y", "z"])
     with pytest.raises(LieAlgebraError, match="outside the support"):
         coarsening_check(alg, {d: d for d in support(alg)})
+
+
+def test_coarsening_check_reads_a_relabel_that_covers_the_product():
+    # the same algebra, but the relabeling also names st and ts: they are
+    # read, as a product inside the support is
+    s, t = S3.element(2), S3.element(1)
+    alg = GradedLieAlgebra(S3, [s, t, S3.identity()], {(0, 1): [(2, 1)]}, ["x", "y", "z"])
+    z2 = cyclic(2)
+    sign = {s: z2.element(1), t: z2.element(1), S3.identity(): z2.element(0)}
+    assert coarsening_check(alg, {**sign, s * t: z2.element(0), t * s: z2.element(0)}).ok
+    report = coarsening_check(alg, {**sign, s * t: z2.element(0), t * s: z2.element(1)})
+    assert not report.ok and report.witness == (1, 0)
