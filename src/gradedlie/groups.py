@@ -188,7 +188,7 @@ class GroupSpec:
     def _claim(self, elem: "GroupElement") -> None:
         if not isinstance(elem, GroupElement):
             raise GroupError(f"expected an element of a {self.kind} group, got {elem!r}")
-        if elem.spec != self:
+        if elem.spec is not self and elem.spec != self:
             raise BackendMismatch(
                 f"element of a {elem.spec.kind} group used with a {self.kind} group")
 

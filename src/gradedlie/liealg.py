@@ -2,8 +2,8 @@
 
 An algebra is a graded alphabet (a finite homogeneous basis with names and
 degrees in a group backend) plus a sparse table of exact rational structure
-constants stored for i < j only; antisymmetry is representational and the
-diagonal is identically zero.
+constants stored for i < j only, plus the same table read in both orders;
+the diagonal is identically zero.  No other module reads the stored form.
 Validation, the bilinear bracket, the (graded) center, inner derivations and
 the graded-Lie-subspace check on endomorphism spans all live here.
 """
@@ -140,8 +140,9 @@ class GradedLieAlgebra(GradedAlphabet):
     """Structure-constant presentation of a graded Lie algebra: a graded
     alphabet (its basis) plus brackets.
 
-    brackets maps ordered pairs (i, j) with i < j to the expansion of
-    [e_i, e_j] as (k, coefficient) terms; [e_j, e_i] is read off by sign.
+    brackets maps pairs (i, j) with i < j to the expansion of [e_i, e_j] as
+    (k, coefficient) terms; ordered_brackets holds every nonzero ordered
+    pair, in row-major order, with the stored terms, negated when i > j.
     A coefficient is an int, a Fraction or a string, never a float or a bool.
     Instances are immutable after construction.
     """
@@ -171,18 +172,18 @@ class GradedLieAlgebra(GradedAlphabet):
             if clean:
                 table[(i, j)] = clean
         self.brackets = table
+        ordered = dict(table)
+        for (i, j), terms in table.items():
+            ordered[(j, i)] = tuple((k, -c) for k, c in terms)
+        self.ordered_brackets = dict(sorted(ordered.items()))
 
     def bracket_basis(self, i: int, j: int) -> List[Tuple[int, Fraction]]:
-        """[e_i, e_j] for arbitrary order of i and j."""
+        """[e_i, e_j] for arbitrary order of i and j; [e_i, e_i] = 0."""
         if type(i) is not int or type(j) is not int:
             _check_indices("basis index", i, j)
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise LieAlgebraError(f"basis index out of range: ({i},{j})")
-        if i == j:
-            return []
-        if i < j:
-            return list(self.brackets.get((i, j), ()))
-        return [(k, -c) for k, c in self.brackets.get((j, i), ())]
+        return list(self.ordered_brackets.get((i, j), ()))
 
     def components(self) -> List[Tuple[GroupElement, List[int]]]:
         """Homogeneous components as (degree, basis indices), in first
@@ -206,7 +207,8 @@ def vec_scale(c, x: LieVector) -> LieVector:
 
 def bracket(alg: GradedLieAlgebra, x: Mapping[int, Fraction],
             y: Mapping[int, Fraction]) -> LieVector:
-    """Bilinear extension of the basis bracket."""
+    """Bilinear extension of the basis bracket, read off ordered_brackets."""
+    table = alg.ordered_brackets
     out: LieVector = {}
     for i, xi in x.items():
         if type(i) is not int or not 0 <= i < alg.n:
@@ -215,7 +217,7 @@ def bracket(alg: GradedLieAlgebra, x: Mapping[int, Fraction],
             if type(j) is not int or not 0 <= j < alg.n:
                 _check_basis_indices(alg.n, j)
             f = xi * yj
-            for k, c in alg.bracket_basis(i, j):
+            for k, c in table.get((i, j), ()):
                 _accumulate(out, k, f * c)
     return out
 
@@ -307,17 +309,16 @@ def center(alg: GradedLieAlgebra) -> List[LieVector]:
 
     A component's equations have one row per basis letter j and target k
     with [e_i, e_j] = ... + c e_k + ... for some letter i of the component;
-    the rows are read off the stored brackets, in both orders, and sorted by
-    (j, k).  The null space basis is the canonical one of the reduced row
-    echelon form, so it depends only on the rows' span."""
+    the rows are read off ordered_brackets and sorted by (j, k).  The null
+    space basis is the canonical one of the reduced row echelon form, so it
+    depends only on the rows' span."""
     comps = alg.components()
     where = {i: (p, t) for p, (_, idxs) in enumerate(comps) for t, i in enumerate(idxs)}
     rows: List[Dict[Tuple[int, int], Dict[int, Fraction]]] = [{} for _ in comps]
-    for (i, j), terms in alg.brackets.items():
-        for a, b, expansion in ((i, j, terms), (j, i, [(k, -c) for k, c in terms])):
-            p, t = where[a]
-            for k, c in expansion:
-                rows[p].setdefault((b, k), {})[t] = c
+    for (i, j), terms in alg.ordered_brackets.items():
+        p, t = where[i]
+        for k, c in terms:
+            rows[p].setdefault((j, k), {})[t] = c
     out: List[LieVector] = []
     for (_, idxs), eqs in zip(comps, rows):
         dense = [[row.get(t, 0) for t in range(len(idxs))] for _, row in sorted(eqs.items())]
@@ -367,20 +368,18 @@ def check_block_invariant(alg: GradedLieAlgebra, mat: EndoMatrix) -> None:
 
 def inner_derivations(alg: GradedLieAlgebra) -> List[EndoMatrix]:
     """The adjoint maps ad e_i with declared degree deg e_i, thinned to a
-    linearly independent set.  Column j of ad e_i holds [e_i, e_j]; the maps
-    that vanish (no stored bracket) are left out.
+    linearly independent set.  Column j of ad e_i holds [e_i, e_j], read off
+    ordered_brackets; the maps that vanish (no nonzero bracket) are left out.
 
     The maps are kept greedily in index order.  Independence is decided on
     the coordinates (k, j) where some map is nonzero, with each map scaled
     to integers; only the kept maps are made dense."""
     ads: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
-    for (i, j), terms in alg.brackets.items():
+    for (i, j), terms in alg.ordered_brackets.items():
         ad_i = ads.setdefault(i, {})
-        ad_j = ads.setdefault(j, {})
         for k, c in terms:
             ad_i[(k, j)] = c
-            ad_j[(k, i)] = -c
-    order = sorted(ads)
+    order = list(ads)
     coords = {kj: p for p, kj in enumerate(dict.fromkeys(kj for i in order for kj in ads[i]))}
     vectors = []
     for i in order:

@@ -104,9 +104,10 @@ def _straighten(alg: GradedLieAlgebra, words: Dict[Monomial, Fraction]) -> SUEle
 
     Every letter must be a basis index: an integer in range, never a float
     or a bool.  A word whose degree multiset does not generate an abelian
-    subgroup maps to zero.  Otherwise the leftmost strict descent is
-    repeatedly rewritten: the word with the two letters swapped, plus the
-    words with the pair replaced by each bracket term.  Terminates because
+    subgroup maps to zero.  Otherwise the leftmost strict descent e_b e_a is
+    repeatedly rewritten as e_a e_b + [e_b, e_a]: the word with the two
+    letters swapped, plus the words with the pair replaced by each term of
+    the (b, a) entry of ordered_brackets.  Terminates because
     each step lowers (length, inversion count) lexicographically; equal
     adjacent letters are never swapped.
     """
@@ -123,9 +124,9 @@ def _straighten(alg: GradedLieAlgebra, words: Dict[Monomial, Fraction]) -> SUEle
             continue
         b, a = w[t], w[t + 1]  # b > a
         _accumulate(pending, w[:t] + (a, b) + w[t + 2:], c)
-        # e_b e_a = e_a e_b - [e_a, e_b]
-        for k, alpha in alg.brackets.get((a, b), ()):
-            _accumulate(pending, w[:t] + (k,) + w[t + 2:], -c * alpha)
+        # e_b e_a = e_a e_b + [e_b, e_a]
+        for k, alpha in alg.ordered_brackets.get((b, a), ()):
+            _accumulate(pending, w[:t] + (k,) + w[t + 2:], c * alpha)
     out = SUElement()
     out.terms = result
     return out
@@ -197,6 +198,6 @@ def embed_check(alg: GradedLieAlgebra) -> EmbedReport:
     for i in range(alg.n):
         for j in range(i + 1, alg.n):
             lhs = _straighten(alg, {(i, j): 1, (j, i): -1})
-            if lhs.terms != {(k,): c for k, c in alg.brackets.get((i, j), ())}:
+            if lhs.terms != {(k,): c for k, c in alg.ordered_brackets.get((i, j), ())}:
                 failures += [(i, j), (j, i)]
     return EmbedReport(independent=True, pair_failures=sorted(failures))

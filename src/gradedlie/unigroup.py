@@ -39,16 +39,13 @@ def universal_presentation(alg: GradedLieAlgebra) -> Presentation:
     """One relation per ordered support pair (s1, s2) with a nonzero bracket
     between the components; both orders appear, duplicates and all.
 
-    The pairs are read off the stored brackets, which are exactly the
-    nonzero ones, and emitted in the order of the support."""
+    The pairs are read off ordered_brackets, whose keys are exactly the
+    nonzero ordered pairs, and emitted in the order of the support."""
     comps = alg.components()
     labels = [alg.group.format(deg) for deg, _ in comps]
     label_of = {deg: labels[p] for p, (deg, _) in enumerate(comps)}
     comp_of = {i: p for p, (_, idxs) in enumerate(comps) for i in idxs}
-    pairs = set()
-    for i, j in alg.brackets:
-        pairs.add((comp_of[i], comp_of[j]))
-        pairs.add((comp_of[j], comp_of[i]))
+    pairs = {(comp_of[i], comp_of[j]) for i, j in alg.ordered_brackets}
     relations: List[Tuple[str, str, str]] = []
     for a, b in sorted(pairs):
         prod = comps[a][0] * comps[b][0]
@@ -200,9 +197,9 @@ def coarsening_check(alg: GradedLieAlgebra,
     that does not validate) LieAlgebraError; compatibility failures are
     reported with the offending pair.
 
-    The pairs are the stored brackets, which are exactly the nonzero ones,
-    in both orders and sorted, so the witness is the first failing pair in
-    row-major order."""
+    The pairs are the keys of ordered_brackets, which are exactly the
+    nonzero ordered pairs in row-major order, so the witness is the first
+    failing pair in row-major order."""
     supp = support(alg)
     for deg in supp:
         if deg not in relabel:
@@ -213,7 +210,7 @@ def coarsening_check(alg: GradedLieAlgebra,
         raise CoarseningError("coarse labels live in different groups")
 
     image = [relabel[deg] for deg in alg.degrees]
-    for i, j in sorted(p for i, j in alg.brackets for p in ((i, j), (j, i))):
+    for i, j in alg.ordered_brackets:
         prod = alg.degree(i) * alg.degree(j)
         try:
             rhs = relabel[prod]

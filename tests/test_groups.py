@@ -471,3 +471,30 @@ def test_module_level_operations_name_a_left_non_element():
         with pytest.raises(GroupError, match=re.escape("got 2")):
             mul(2, 3)
         assert mul(g, inv(g)) == spec.identity()
+
+
+def test_constructors_refuse_negative_ranks_and_small_orders():
+    for build in (lambda: GroupSpec.free(-1),
+                  lambda: GroupSpec.free_abelian(-1),
+                  lambda: GroupSpec.free_product_cyclic([1])):
+        with pytest.raises(GroupError, match=">= "):
+            build()
+
+
+def test_generator_and_element_refuse_bad_indices_and_backends():
+    z2 = GroupSpec.finite([[0, 1], [1, 0]])
+    for build, message in ((lambda: GroupSpec.free(2).generator(2), "out of range"),
+                           (lambda: GroupSpec.free_abelian(2).generator(-1), "out of range"),
+                           (lambda: z2.generator(0), "no distinguished generators"),
+                           (lambda: GroupSpec.free(2).element(0), "only available in the finite"),
+                           (lambda: z2.element(2), "out of range")):
+        with pytest.raises(GroupError, match=message):
+            build()
+
+
+def test_elements_of_equal_specs_multiply():
+    a, b = GroupSpec.free(2), GroupSpec.free(2)
+    assert a is not b
+    x, y = a.generator(0), b.generator(1)
+    assert a.format(x * y) == b.format(b.generator(0) * y)
+    assert a.mul(y, x) == b.mul(y, b.generator(0)) != x * y

@@ -394,3 +394,14 @@ def test_structure_constants_refuse_non_rational_strings():
         GradedLieAlgebra(group, degrees, {(0, 1): [(0, "nan")]})
     with pytest.raises(LieAlgebraError, match="not a rational number"):
         EndoMatrix.build([["1/0"]])
+
+
+def test_bracket_basis_refuses_an_index_out_of_range(sl2):
+    with pytest.raises(LieAlgebraError, match=r"basis index out of range: \(3,0\)"):
+        sl2.bracket_basis(3, 0)
+    assert sl2.bracket_basis(1, 1) == []
+
+
+def test_graded_span_refuses_a_matrix_of_the_wrong_size(sl2):
+    with pytest.raises(GradedSpanError, match="is not 3x3"):
+        is_graded_lie_subspace(sl2, [EndoMatrix.build([[1]], sl2.degree(1), "tiny")])
