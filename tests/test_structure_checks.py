@@ -1,6 +1,7 @@
 """The structure checks (embed_check, center, inner_derivations,
-coarsening_check) against their dense definitions over every index pair,
-plus pinned witnesses that depend on the order in which pairs are visited."""
+coarsening_check, is_graded_lie_subspace) against their dense definitions
+over every index pair, plus pinned witnesses that depend on the order in
+which pairs are visited."""
 
 import random
 from fractions import Fraction
@@ -13,8 +14,11 @@ from test_pbw import s5_graded_sum
 
 from gradedlie import pbw
 from gradedlie.groups import GroupSpec
-from gradedlie.liealg import GradedLieAlgebra, LieAlgebraError, center, inner_derivations
-from gradedlie.linalg import nullspace, rank
+from gradedlie.groups import commute
+from gradedlie.liealg import (EndoMatrix, GradedLieAlgebra, GradedSpanError, GradedSpanReport,
+                              LieAlgebraError, center, check_block_invariant, inner_derivations,
+                              is_graded_lie_subspace)
+from gradedlie.linalg import _integer_row, _mat_mul, in_span, nullspace, rank
 from gradedlie.pbw import EmbedReport, SUElement, embed_check, normalize
 from gradedlie.unigroup import coarsening_check, support
 
@@ -73,6 +77,42 @@ def coarsening_by_definition(alg, relabel):
                 if relabel[gi] * relabel[gj] != relabel[gi * gj]:
                     return (i, j)
     return None
+
+
+def graded_span_by_definition(alg, mats):
+    """Every matrix scaled to integers, every commutator a dense product, and
+    its n^2 entries tested against those of the matrices of the product
+    degree; the first offending pair in (i1, i2) order is the witness."""
+    for mat in mats:
+        check_block_invariant(alg, mat)
+    n = alg.n
+    flats = [_integer_row(mat.flatten()) for mat in mats]
+    ints = [[flat[r:r + n] for r in range(0, n * n, n)] for flat in flats]
+    for i1 in range(len(mats)):
+        for i2 in range(i1 + 1, len(mats)):
+            u, v = mats[i1], mats[i2]
+            ab, ba = _mat_mul(ints[i1], ints[i2]), _mat_mul(ints[i2], ints[i1])
+            flat = [x - y for p, q in zip(ab, ba) for x, y in zip(p, q)]
+            if not commute(u.degree, v.degree):
+                if any(flat):
+                    return GradedSpanReport(
+                        False, (i1, i2), "degrees do not commute but the commutator is nonzero")
+                continue
+            if not any(flat):
+                continue
+            pool = [flats[i] for i, m in enumerate(mats) if m.degree == u.degree * v.degree]
+            if in_span(pool, flat) is None:
+                return GradedSpanReport(
+                    False, (i1, i2), "commutator escapes the span at the product degree")
+    return GradedSpanReport(True)
+
+
+def ad_maps(alg):
+    """ad e_i for every letter, zero maps included, as EndoMatrix of degree deg e_i."""
+    n = alg.n
+    return [EndoMatrix.build([[dict(alg.bracket_basis(i, j)).get(k, 0) for j in range(n)]
+                              for k in range(n)], alg.degree(i), f"ad {alg.name(i)}")
+            for i in range(n)]
 
 
 # -- the algebras --------------------------------------------------------------------
@@ -200,6 +240,52 @@ def test_coarsening_check_matches_definition(algebras):
                 assert report.reason.startswith(f"bracket ({alg.name(i)},{alg.name(j)}) needs ")
     assert outcomes["valid"] >= 100 and outcomes["broken"] >= 100, outcomes
     assert outcomes["i > j"] >= 10, outcomes
+
+
+def test_graded_span_check_matches_definition(algebras):
+    """The ad maps, random subsets of them and single-entry changes inside a
+    map's degree block (or, now and then, outside it)."""
+    rng = random.Random(53)
+    seen = {"ok": 0, "outside the block": 0, "late witness": 0,
+            "degrees do not commute but the commutator is nonzero": 0,
+            "commutator escapes the span at the product degree": 0}
+    for name, alg in algebras.items():
+        ads = ad_maps(alg)
+        if not ads:
+            assert is_graded_lie_subspace(alg, ads) == GradedSpanReport(True)
+            continue
+        cases = [ads]
+        for _ in range(4):
+            cases.append(rng.sample(ads, rng.randrange(1, len(ads) + 1)))
+        for _ in range(6):
+            mats = list(ads)
+            t = rng.randrange(len(mats))
+            n, d = alg.n, mats[t].degree
+            inside = [(r, c) for r in range(n) for c in range(n)
+                      if alg.degree(r) == d * alg.degree(c)]
+            r, c = rng.choice(inside) if inside and rng.random() < 0.9 else \
+                (rng.randrange(n), rng.randrange(n))
+            rows = [list(row) for row in mats[t].rows]
+            rows[r][c] += Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 1, 2, 3)))
+            mats[t] = EndoMatrix.build(rows, d, mats[t].label)
+            cases.append(rng.sample(mats, len(mats)))
+        for mats in cases:
+            try:
+                want = graded_span_by_definition(alg, mats)
+            except GradedSpanError as exc:
+                with pytest.raises(GradedSpanError) as got:
+                    is_graded_lie_subspace(alg, mats)
+                assert str(got.value) == str(exc), name
+                seen["outside the block"] += 1
+                continue
+            report = is_graded_lie_subspace(alg, mats)
+            assert report == want, (name, [m.label for m in mats])
+            if report.ok:
+                seen["ok"] += 1
+            else:
+                seen[report.reason] += 1
+                seen["late witness"] += report.witness != (0, 1)
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 # -- pinned witnesses ------------------------------------------------------------------
