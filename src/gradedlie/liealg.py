@@ -18,7 +18,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 from . import linalg
 from .groups import GroupElement, GroupSpec, _degree_classes, _integer, commute
-from .linalg import _accumulate, _integer_row, _mat_mul, _sparse_add, _sparse_scale
+from .linalg import _accumulate, _integer_row, _sparse_add, _sparse_scale
 
 LieVector = Dict[int, Fraction]
 
@@ -347,11 +347,6 @@ class EndoMatrix:
         return [x for row in self.rows for x in row]
 
 
-def _mat_commutator(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
-    ab, ba = _mat_mul(a, b), _mat_mul(b, a)
-    return [[x - y for x, y in zip(p, q)] for p, q in zip(ab, ba)]
-
-
 def check_block_invariant(alg: GradedLieAlgebra, mat: EndoMatrix) -> None:
     """Raise GradedSpanError unless mat respects its declared degree."""
     who = mat.label or "matrix"
@@ -422,30 +417,42 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     vanish; otherwise a nonzero commutator must lie in the span of the listed
     matrices of the product degree.  The first offending pair is the witness.
     Each matrix is scaled to integers once (times the lcm of its
-    denominators), which changes neither answer.
+    denominators), which changes neither answer, and held as sparse rows;
+    a commutator is a sparse product, keyed by the flat index r*n + c, and
+    its span is decided on the coordinates where it or a matrix of the
+    product degree is nonzero.
     """
     for mat in mats:
         check_block_invariant(alg, mat)
     n = alg.n
-    flats = [_integer_row(mat.flatten()) for mat in mats]
-    ints = [[flat[r:r + n] for r in range(0, n * n, n)] for flat in flats]
+    flats: List[Dict[int, int]] = []
+    ints: List[List[Dict[int, int]]] = []
+    for mat in mats:
+        flat = _integer_row(mat.flatten())
+        flats.append({p: x for p, x in enumerate(flat) if x})
+        ints.append([{c: x for c, x in enumerate(flat[r:r + n]) if x} for r in range(0, n * n, n)])
+    pools = {d: [flats[i] for i in idxs] for d, idxs in _degree_classes([m.degree for m in mats])}
     for i1 in range(len(mats)):
         for i2 in range(i1 + 1, len(mats)):
             u, v = mats[i1], mats[i2]
-            comm = _mat_commutator(ints[i1], ints[i2])
-            nonzero = any(x != 0 for row in comm for x in row)
+            comm: Dict[int, int] = {}
+            for a, b, sign in ((ints[i1], ints[i2], 1), (ints[i2], ints[i1], -1)):
+                for r, row in enumerate(a):
+                    for k, x in row.items():
+                        for c, y in b[k].items():
+                            _accumulate(comm, r * n + c, sign * x * y)
             if not commute(u.degree, v.degree):
-                if nonzero:
+                if comm:
                     return GradedSpanReport(
                         False, (i1, i2),
                         "degrees do not commute but the commutator is nonzero")
                 continue
-            if not nonzero:
+            if not comm:
                 continue
-            target_degree = u.degree * v.degree
-            pool = [flats[i] for i, m in enumerate(mats) if m.degree == target_degree]
-            flat = [x for row in comm for x in row]
-            if linalg.in_span(pool, flat) is None:
+            pool = pools.get(u.degree * v.degree, [])
+            coords = sorted(set(comm).union(*pool))
+            if linalg.in_span([[w.get(p, 0) for p in coords] for w in pool],
+                              [comm.get(p, 0) for p in coords]) is None:
                 return GradedSpanReport(
                     False, (i1, i2),
                     "commutator escapes the span at the product degree")

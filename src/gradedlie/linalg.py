@@ -46,9 +46,22 @@ def _integer_row(row: Sequence) -> List[int]:
     return [x.numerator * (den // d) for x, d in zip(row, dens)]
 
 
-def _eliminate(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
+def _width(rows: Sequence[Sequence], width: Optional[int] = None, what: str = "row") -> int:
+    """The number of entries of every row: width if given, else the first
+    row's (0 without rows).  A row of another length raises ValueError
+    naming it and both lengths."""
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{what} {r} has {len(row)} entries, expected {width}")
+    return width
+
+
+def _eliminate(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List[int]], List[int]]:
     """Fraction-free Gauss-Jordan elimination (in the manner of Bareiss,
     Math. Comp. 22, 1968), the one kernel behind every entry point below.
+    The rows have ncols entries each; the entry points check that, once.
 
     Each row is scaled to integers once.  A row is updated as
     pv*row - f*pivot_row and divided by the gcd of its entries, so entries
@@ -58,7 +71,6 @@ def _eliminate(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
     the rank are dropped."""
     # a zero row holds no pivot, so it is skipped before it is scaled
     m = list(map(_integer_row, filter(any, rows)))
-    ncols = len(rows[0]) if rows else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -92,22 +104,23 @@ def _eliminate(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
 
 def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m, pivots = _eliminate(rows)
-    ncols = len(rows[0]) if rows else 0
+    ncols = _width(rows)
+    m, pivots = _eliminate(rows, ncols)
     out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
     out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(m))]
     return out, pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(_eliminate(rows)[1])
+    return len(_eliminate(rows, _width(rows))[1])
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[Vector]:
     """Canonical basis of {x : A x = 0}, one vector per free column."""
+    _width(rows, ncols)
     if not rows:
         return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
-    m, pivots = _eliminate(rows)
+    m, pivots = _eliminate(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -121,10 +134,16 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> List[Vector]:
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
     """One exact solution of A x = b, or None if the system is inconsistent."""
+    if len(rhs) != len(rows):
+        raise ValueError(f"right-hand side has {len(rhs)} entries, expected {len(rows)}")
+    return _solve(rows, rhs, _width(rows))
+
+
+def _solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Optional[Vector]:
+    """solve on rows of ncols entries each and one rhs entry per row."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    m, pivots = _eliminate([list(row) + [rhs[i]] for i, row in enumerate(rows)])
+    m, pivots = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -137,19 +156,21 @@ def in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
     """Coefficients expressing target in the span of the given vectors,
     or None if it is outside."""
     tgt = [_exact(x) for x in target]
+    _width(vectors, len(tgt), "vector")
     if not vectors:
         return [] if all(x == 0 for x in tgt) else None
     # coordinates where every vector and the target vanish give 0 = 0
     live = [d for d, t in enumerate(tgt) if t or any(v[d] for v in vectors)]
     if not live:
         return [Fraction(0)] * len(vectors)
-    return solve([[v[d] for v in vectors] for d in live], [tgt[d] for d in live])
+    return _solve([[v[d] for v in vectors] for d in live], [tgt[d] for d in live], len(vectors))
 
 
 def independent_subset(vectors: Sequence[Sequence]) -> List[int]:
     """Indices of the greedy maximal linearly independent subset, in order:
     the pivot columns of the matrix whose columns are the vectors."""
-    return _eliminate(list(zip(*vectors)))[1]
+    _width(vectors, what="vector")
+    return _eliminate(list(zip(*vectors)), len(vectors))[1]
 
 
 # -- sparse vectors: dicts from keys to nonzero coefficients ------------------
@@ -191,10 +212,8 @@ def _integer_matrix(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     bool, float, str or Fraction) raises TypeError naming its row and
     column, and a row of another length than the first raises ValueError."""
     m = [list(row) for row in rows]
-    width = len(m[0]) if m else 0
+    _width(m)
     for r, row in enumerate(m):
-        if len(row) != width:
-            raise ValueError(f"row {r} has {len(row)} entries, expected {width}")
         if not set(map(type, row)) <= {int}:
             for c, x in enumerate(row):
                 if isinstance(x, bool) or not isinstance(x, int):
@@ -264,17 +283,6 @@ def _identity(n: int) -> List[List[int]]:
 
 def _transpose(rows: List[List[int]]) -> List[List[int]]:
     return [list(col) for col in zip(*rows)]
-
-
-def _dense(rows: List[dict], width: int) -> List[List[int]]:
-    """Sparse rows (dicts from column to entry) as dense lists."""
-    out = []
-    for row in rows:
-        dense = [0] * width
-        for k, x in row.items():
-            dense[k] = x
-        out.append(dense)
-    return out
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
@@ -393,25 +401,42 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
             negate_row(t)
         t += 1
 
-    V = _transpose(_dense(V_t, n))
-    _check_smith(rows, M, U, V, _transpose(Ui_t), _dense(Vi, n))
+    V = [[0] * n for _ in range(n)]
+    for j, col in enumerate(V_t):
+        for k, x in col.items():
+            V[k][j] = x
+    _check_smith(rows, M, U, V_t, _transpose(Ui_t), Vi)
     return SmithForm(diag=[M[i][i] for i in range(min(m, n))], U=U, V=V)
 
 
-def _check_smith(orig, D, U, V, U_inv, V_inv) -> None:
+def _check_smith(orig, D, U, V_t, U_inv, Vi) -> None:
     """Raise ArithmeticError unless U*orig*V = D is a Smith normal form with
-    U*U_inv = I and V_inv*V = I."""
+    U*U_inv = I and V*V^-1 = I.  V_t holds the columns of V and Vi the rows
+    of V^-1, each a sparse row (a dict from index to entry).
+
+    Once D is diagonal and V*V^-1 = I, U*orig*V = D is U*orig = D*V^-1:
+    row i of U*orig is D[i][i] times row i of V^-1, and zero below row n."""
     m = len(D)
     n = len(D[0]) if m else 0
-    prod = _mat_mul(_mat_mul(U, orig), V)
-    if prod != D:
-        raise ArithmeticError("smith normal form postcondition failed: U*M*V != D")
     for i in range(m):
         for j in range(n):
             if i != j and D[i][j] != 0:
                 raise ArithmeticError("smith normal form postcondition failed: D not diagonal")
-    if _mat_mul(U, U_inv) != _identity(m) or _mat_mul(V_inv, V) != _identity(n):
+    # column i of V*V^-1 is the sum over k of V^-1[k][i] times column k of V
+    cols: List[dict] = [{} for _ in range(n)]
+    for k, row in enumerate(Vi):
+        for i, x in row.items():
+            for j, y in V_t[k].items():
+                _accumulate(cols[i], j, x * y)
+    if _mat_mul(U, U_inv) != _identity(m) or any(col != {i: 1} for i, col in enumerate(cols)):
         raise ArithmeticError("smith normal form postcondition failed: transform not unimodular")
+    for i, row in enumerate(_mat_mul(U, orig)):
+        want = [0] * n
+        if i < n:
+            for j, x in Vi[i].items():
+                want[j] = D[i][i] * x
+        if row != want:
+            raise ArithmeticError("smith normal form postcondition failed: U*M*V != D")
     diag = [D[i][i] for i in range(min(m, n))]
     for a, b in zip(diag, diag[1:]):
         if a == 0 and b != 0:

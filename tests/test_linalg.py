@@ -95,6 +95,32 @@ def test_independent_subset_keeps_greedy_order():
             i for i in range(len(vs)) if rank(vs[:i + 1]) > rank(vs[:i])]
 
 
+RAGGED = {
+    "rank_short_row_after_zero_row": (rank, ([[0, 0], [1]],), "row 1 has 1 entries, expected 2"),
+    "rank_short_row": (rank, ([[1, 2], [3]],), "row 1 has 1 entries, expected 2"),
+    "rref": (rref, ([[1], [1, 2]],), "row 1 has 2 entries, expected 1"),
+    "nullspace": (nullspace, ([[1, 2]], 1), "row 0 has 2 entries, expected 1"),
+    "solve_long_rhs": (solve, ([[1, 2]], [1, 2]),
+                       "right-hand side has 2 entries, expected 1"),
+    "solve_short_rhs": (solve, ([[1, 2], [3, 4]], [1]),
+                        "right-hand side has 1 entries, expected 2"),
+    "solve_short_row": (solve, ([[1, 2], [3]], [1, 2]), "row 1 has 1 entries, expected 2"),
+    "in_span_short_target": (in_span, ([[1, 0]], [1]), "vector 0 has 2 entries, expected 1"),
+    "in_span_short_vector": (in_span, ([[1, 2], [1]], [1, 2]),
+                             "vector 1 has 1 entries, expected 2"),
+    "independent_subset": (independent_subset, ([[1, 2], [1]],),
+                           "vector 1 has 1 entries, expected 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(RAGGED))
+def test_elimination_refuses_ragged_input(case):
+    # each of these returned a wrong answer or raised a raw IndexError
+    entry_point, args, message = RAGGED[case]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry_point(*args)
+
+
 # -- integer determinant -----------------------------------------------------------
 
 def _det_fraction(rows):
@@ -250,23 +276,47 @@ def test_smith_matches_sympy_with_unimodular_transforms(monkeypatch):
         assert det_int(form.V) in (1, -1)
 
 
+def _entry(matrix, r, c):
+    """Entry (r, c) of a dense matrix or of sparse rows (dicts)."""
+    row = matrix[r]
+    return row.get(c, 0) if isinstance(row, dict) else row[c]
+
+
+def _with_entry(matrix, r, c, x):
+    """A copy of a dense matrix or of sparse rows with entry (r, c) set to x;
+    a sparse row holds no zero, so x = 0 removes the key."""
+    bad = [dict(row) if isinstance(row, dict) else list(row) for row in matrix]
+    bad[r][c] = x
+    if isinstance(bad[r], dict) and x == 0:
+        del bad[r][c]
+    return bad
+
+
 def test_smith_check_rejects_corrupted_transforms_and_inverses(monkeypatch):
     captured = []
     monkeypatch.setattr(linalg, "_check_smith",
                         lambda *args: captured.append(args) or _check_smith(*args))
     smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    args = list(captured[0])  # orig, D, U, V, U^-1, V^-1
+    # orig, D, U, V, U^-1, V^-1; V as its columns and V^-1 as its rows, sparse
+    args = list(captured[0])
     _check_smith(*args)
     for pos in range(2, 6):  # U, V, U^-1, V^-1 in turn
-        bad = [list(row) for row in args[pos]]
-        bad[0][0] += 1
+        bad = _with_entry(args[pos], 0, 0, _entry(args[pos], 0, 0) + 1)
         with pytest.raises(ArithmeticError):
             _check_smith(*args[:pos], bad, *args[pos + 1:])
+    for pos in (3, 5):  # in the sparse rows, a new key and a removed key
+        rows = args[pos]
+        r, c = next((r, c) for r, row in enumerate(rows) for c in range(len(rows)) if c not in row)
+        with pytest.raises(ArithmeticError):
+            _check_smith(*args[:pos], _with_entry(rows, r, c, 1), *args[pos + 1:])
+        r, c = next((r, c) for r, row in enumerate(rows) for c in row)
+        with pytest.raises(ArithmeticError):
+            _check_smith(*args[:pos], _with_entry(rows, r, c, 0), *args[pos + 1:])
     # U*M*V = D holds for U = [2] on the zero matrix, but U is not unimodular
     with pytest.raises(ArithmeticError, match="not unimodular"):
-        _check_smith([[0]], [[0]], [[2]], [[1]], [[1]], [[1]])
+        _check_smith([[0]], [[0]], [[2]], [{0: 1}], [[1]], [{0: 1}])
     with pytest.raises(ArithmeticError, match="not unimodular"):
-        _check_smith([[0]], [[0]], [[1]], [[3]], [[1]], [[1]])
+        _check_smith([[0]], [[0]], [[1]], [{0: 3}], [[1]], [{0: 1}])
 
 
 @pytest.mark.parametrize("entry", [1.5, 2.0, Fraction(3, 2), Fraction(2), True, False, "3", None])
@@ -533,11 +583,27 @@ def test_smith_check_rejects_a_changed_entry_anywhere(monkeypatch):
     rng = random.Random(29)
     for _ in range(25):
         smith_normal_form(random_int_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7)))
-    for args in captured:  # orig, D, U, V, U^-1, V^-1
+    sparse_cases = {"new key": 0, "removed key": 0}
+    for args in captured:  # orig, D, U, V, U^-1, V^-1; V and V^-1 sparse rows
         _check_smith(*args)
         for pos in range(6):
-            bad = [list(row) for row in args[pos]]
-            r, c = rng.randrange(len(bad)), rng.randrange(len(bad[0]))
-            bad[r][c] += rng.choice((-2, -1, 1, 3))
+            rows = args[pos]
+            width = len(rows) if pos in (3, 5) else len(rows[0])
+            r, c = rng.randrange(len(rows)), rng.randrange(width)
+            bad = _with_entry(rows, r, c, _entry(rows, r, c) + rng.choice((-2, -1, 1, 3)))
             with pytest.raises(ArithmeticError):
                 _check_smith(*args[:pos], bad, *args[pos + 1:])
+        for pos in (3, 5):
+            rows = args[pos]
+            zeros = [(r, c) for r, row in enumerate(rows) for c in range(len(rows)) if c not in row]
+            if zeros:
+                r, c = rng.choice(zeros)
+                with pytest.raises(ArithmeticError):
+                    _check_smith(*args[:pos], _with_entry(rows, r, c, rng.choice((-1, 2))),
+                                 *args[pos + 1:])
+                sparse_cases["new key"] += 1
+            r, c = rng.choice([(r, c) for r, row in enumerate(rows) for c in row])
+            with pytest.raises(ArithmeticError):
+                _check_smith(*args[:pos], _with_entry(rows, r, c, 0), *args[pos + 1:])
+            sparse_cases["removed key"] += 1
+    assert min(sparse_cases.values()) >= 20, sparse_cases
