@@ -425,8 +425,7 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     for mat in mats:
         check_block_invariant(alg, mat)
     n = alg.n
-    flats: List[Dict[int, int]] = []
-    ints: List[List[Dict[int, int]]] = []
+    flats, ints = [], []
     for mat in mats:
         flat = _integer_row(mat.flatten())
         flats.append({p: x for p, x in enumerate(flat) if x})

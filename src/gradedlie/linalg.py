@@ -3,16 +3,18 @@
 Matrices are dense and small-scale: one fraction-free elimination kernel
 for reduced row echelon forms, ranks, null spaces, solutions, span
 membership and independent subsets (rows are scaled to integers once and
-Fractions are built only for the outputs that need them), a zero-skipping
-matrix product, and an integer Smith normal form D = U*M*V.  Its transforms
-are tracked together with their inverses, the wide column transforms V and
-V^-1 as sparse rows made dense once at the end, and every call checks
-U*M*V = D, the diagonal and its divisibility chain, and U*U^-1 = V^-1*V = I:
-integer matrices with integer inverses, hence unimodular.  The integer
-kernels (Smith form, Hermite form, determinant) take int entries only and
-coerce nothing.  Sparse vectors (dicts from keys to nonzero coefficients)
-share one accumulator, and sparse combinations of words one product.  No
-floating point anywhere.
+Fractions are built only for the outputs that need them; each entry point
+checks once that its rows have one length), a zero-skipping matrix product,
+and an integer Smith normal form D = U*M*V.  Its transforms are tracked
+together with their inverses, the wide column transforms V and V^-1 as
+sparse rows, and every call checks the diagonal and its divisibility
+chain, U*U^-1 = V*V^-1 = I (integer matrices with integer inverses, hence
+unimodular) and U*M*V = D, read as U*M = D*V^-1, with V and V^-1 read as
+the sparse rows they are kept in; only the returned V is made dense.  The
+integer kernels (Smith form, Hermite form, determinant) take int entries
+only and coerce nothing.  Sparse vectors (dicts from keys to nonzero
+coefficients) share one accumulator, and sparse combinations of words one
+product.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -299,8 +301,8 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
 
     The column transforms V and V^-1 are tracked as sparse rows (dicts from
     column to nonzero entry), since a wide relation matrix leaves them
-    mostly zero, and made dense once, at the end, for the result and the
-    check."""
+    mostly zero.  The check reads those rows, and only V is made dense, for
+    the result."""
     M = _integer_matrix(rows)
     m = len(M)
     n = len(M[0]) if m else 0
