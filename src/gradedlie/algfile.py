@@ -3,9 +3,9 @@
 An algebra file is JSON with top-level keys ``group``, ``basis`` and
 ``brackets`` (plus optional ``name``/``description``): the group block picks
 a backend, each basis entry carries a name and a degree literal, and each
-bracket entry gives 0-based indices i < j with exact rational coefficient
-strings.  Matrix-span files and relabeling files for coarsening checks use
-the same literal conventions.
+bracket entry gives 0-based indices i < j with exact coefficients: JSON
+integers or rational strings, never floats.  Matrix-span files and
+relabeling files for coarsening checks use the same literal conventions.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
-from .groups import GroupElement, GroupError, GroupSpec
-from .liealg import EndoMatrix, GradedLieAlgebra, ValidationReport, validate
+from .groups import GroupElement, GroupError, GroupSpec, _is_integer
+from .liealg import (EndoMatrix, GradedLieAlgebra, LieAlgebraError, ValidationReport,
+                     _coefficient, validate)
 
 
 class AlgebraFileError(ValueError):
@@ -61,8 +62,8 @@ _JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an obj
 
 def _typed(value, kind: type, path, where: str):
     """value, if it is a JSON integer, string, list or object as kind asks;
-    a JSON true or false is not an integer."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    an integer follows groups._is_integer, so JSON true or false is not."""
+    if not (_is_integer(value) if kind is int else isinstance(value, kind)):
         raise AlgebraFileError(path, f"{where} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
@@ -101,7 +102,8 @@ def _group_rank(obj: dict, path) -> int:
 
 
 def load_algebra(path) -> GradedLieAlgebra:
-    """Parse an algebra file without validating the Lie/grading axioms."""
+    """Parse an algebra file without validating the Lie/grading axioms;
+    coefficients go through liealg._coefficient, so a float is refused."""
     obj = _load_json(path)
     group = load_group_spec(_require(obj, "group", path), path)
 
@@ -141,10 +143,9 @@ def load_algebra(path) -> GradedLieAlgebra:
             k = _typed(_require(term, "k", path, twhere), int, path, f"{twhere}.k")
             raw = _require(term, "coeff", path, twhere)
             try:
-                coeff = Fraction(str(raw))
-            except (ValueError, ZeroDivisionError) as exc:
+                terms.append((k, _coefficient(raw)))
+            except LieAlgebraError as exc:
                 raise AlgebraFileError(path, f"{twhere}: bad coefficient {raw!r}: {exc}") from None
-            terms.append((k, coeff))
         brackets[(i, j)] = terms
 
     try:
@@ -164,8 +165,8 @@ def parse_algebra(path) -> GradedLieAlgebra:
 
 
 def parse_word(alg: GradedLieAlgebra, text: Union[str, list]) -> Tuple[int, ...]:
-    """A word is an index list like "[2,0,1]" (integers only) or
-    space-separated basis names like "f h e"."""
+    """A word is an index list like "[2,0,1]" (of groups._is_integer
+    entries) or space-separated basis names like "f h e"."""
     if isinstance(text, str):
         text = text.strip()
     if isinstance(text, str) and not text.startswith("["):
@@ -179,7 +180,7 @@ def parse_word(alg: GradedLieAlgebra, text: Union[str, list]) -> Tuple[int, ...]
             tokens = json.loads(text) if isinstance(text, str) else text
         except json.JSONDecodeError:
             tokens = None
-        if not isinstance(tokens, list) or not all(type(t) is int for t in tokens):
+        if not isinstance(tokens, list) or not all(map(_is_integer, tokens)):
             raise AlgebraFileError("<word>", f"bad index list {text!r}")
     for i in tokens:
         if not 0 <= i < alg.n:
@@ -189,7 +190,8 @@ def parse_word(alg: GradedLieAlgebra, text: Union[str, list]) -> Tuple[int, ...]
 
 def load_mats(path, alg: GradedLieAlgebra) -> List[EndoMatrix]:
     """Matrix-span file: {"mats": [{"label", "degree", "rows"}, ...]} with
-    rows of exact rational strings and degrees in the algebra's group."""
+    degrees in the algebra's group and entries read by EndoMatrix.build
+    (coefficients: JSON integers or rational strings, never floats)."""
     obj = _load_json(path)
     mats = []
     seen: Dict[str, int] = {}
@@ -206,9 +208,8 @@ def load_mats(path, alg: GradedLieAlgebra) -> List[EndoMatrix]:
             raise AlgebraFileError(path, f"{where}: {exc}") from None
         rows = _typed_list(_require(entry, "rows", path, where), list, path, f"{where}.rows")
         try:
-            mat = EndoMatrix.build([[Fraction(str(x)) for x in row] for row in rows],
-                                   degree, label)
-        except (ValueError, ZeroDivisionError) as exc:
+            mat = EndoMatrix.build(rows, degree, label)
+        except LieAlgebraError as exc:
             raise AlgebraFileError(path, f"{where}: bad matrix entry: {exc}") from None
         if len(mat.rows) != alg.n or any(len(r) != alg.n for r in mat.rows):
             raise AlgebraFileError(path, f"{where}: matrix is not {alg.n}x{alg.n}")

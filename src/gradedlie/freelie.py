@@ -17,7 +17,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .groups import GroupElement, _degree_classes, _integer, generates_abelian_subgroup
+from .groups import (GroupElement, _degree_classes, _integer, _is_integer,
+                     generates_abelian_subgroup)
 from .liealg import GradedAlphabet
 from .linalg import _concat, _sparse_add, _sparse_scale
 
@@ -30,12 +31,8 @@ class FreeLieError(ValueError):
 
 
 def _check_length(value, least: int, what: str) -> None:
-    """A word length is an integer (a float or a bool is refused) >= least."""
-    try:
-        _integer(value)
-    except TypeError as exc:
-        raise FreeLieError(f"{what}: {exc}") from None
-    if value < least:
+    """A word length is an integer (groups._integer) >= least."""
+    if _integer(value, what, FreeLieError) < least:
         raise FreeLieError(f"{what} must be >= {least}")
 
 
@@ -190,10 +187,11 @@ def degree_product(degrees: Sequence[GroupElement],
                    indices: Sequence[int]) -> Optional[GroupElement]:
     """Ordered product of the referenced degrees, or None when the referenced
     degree set does not generate an abelian subgroup (in which case no
-    well-defined product of the commutative exponent data exists)."""
+    well-defined product of the commutative exponent data exists).  Indices
+    are groups._is_integer integers in range."""
     if not degrees and not indices:
         raise FreeLieError("empty degree list")
-    if not all(type(i) is int and 0 <= i < len(degrees) for i in indices):
+    if not all(_is_integer(i) and 0 <= i < len(degrees) for i in indices):
         raise FreeLieError(f"degree indices must be integers in [0, {len(degrees)}), "
                            f"got {list(indices)}")
     referenced = [degrees[i] for i in indices]

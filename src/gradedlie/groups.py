@@ -57,27 +57,27 @@ class GroupSpec:
 
     @staticmethod
     def finite(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None) -> "GroupSpec":
-        tbl = tuple(tuple(_whole(x, f"Cayley table row {r}") for x in row)
-                    for r, row in enumerate(table))
+        tbl = tuple(tuple(_integer(x, f"Cayley table row {r}", GroupError)
+                          for x in row) for r, row in enumerate(table))
         nm = tuple(names) if names is not None else None
         _check_cayley_table(tbl, nm)
         return GroupSpec(kind=FINITE, table=tbl, names=nm, rank=len(tbl))
 
     @staticmethod
     def free(rank: int) -> "GroupSpec":
-        if _whole(rank, "free group rank") < 0:
+        if _integer(rank, "free group rank", GroupError) < 0:
             raise GroupError(f"free group rank must be >= 0, got {rank}")
         return GroupSpec(kind=FREE, rank=rank)
 
     @staticmethod
     def free_abelian(rank: int) -> "GroupSpec":
-        if _whole(rank, "free abelian rank") < 0:
+        if _integer(rank, "free abelian rank", GroupError) < 0:
             raise GroupError(f"free abelian rank must be >= 0, got {rank}")
         return GroupSpec(kind=FREE_ABELIAN, rank=rank)
 
     @staticmethod
     def free_product_cyclic(orders: Sequence[int]) -> "GroupSpec":
-        ords = tuple(_whole(o, "cyclic factor order") for o in orders)
+        ords = tuple(_integer(o, "cyclic factor order", GroupError) for o in orders)
         if any(o < 2 for o in ords):
             raise GroupError(f"cyclic factor orders must all be >= 2, got {ords}")
         return GroupSpec(kind=FREE_PRODUCT_CYCLIC, orders=ords, rank=len(ords))
@@ -94,8 +94,8 @@ class GroupSpec:
     def generator(self, i: int, exponent: int = 1) -> "GroupElement":
         """The i-th generator (or its power) in word-like backends; the
         i-th standard basis vector in the free abelian backend."""
-        _whole(exponent, "generator exponent")
-        if not 0 <= _whole(i, "generator index") < self.rank:
+        _integer(exponent, "generator exponent", GroupError)
+        if not 0 <= _integer(i, "generator index", GroupError) < self.rank:
             raise GroupError(f"generator index {i} out of range for rank {self.rank}")
         if self.kind == FINITE:
             raise GroupError("finite groups have no distinguished generators; use element()")
@@ -109,7 +109,7 @@ class GroupSpec:
     def element(self, index: int) -> "GroupElement":
         if self.kind != FINITE:
             raise GroupError("element(index) is only available in the finite backend")
-        if not 0 <= _whole(index, "element index") < self.rank:
+        if not 0 <= _integer(index, "element index", GroupError) < self.rank:
             raise GroupError(f"element index {index} out of range for order {self.rank}")
         return GroupElement(self, index)
 
@@ -257,7 +257,7 @@ class GroupElement:
         return self.spec.mul(self, other)
 
     def __pow__(self, n: int) -> "GroupElement":
-        if _whole(n, "power") < 0:
+        if _integer(n, "power", GroupError) < 0:
             return self.inverse() ** (-n)
         return self.spec.product([self] * n)
 
@@ -312,19 +312,18 @@ def _degree_classes(degrees: Sequence[GroupElement]) -> List[Tuple[GroupElement,
     return list(classes.items())
 
 
-def _integer(x) -> int:
-    """x if it is an integer; a float or a bool (JSON true/false) is not."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"expected an integer, got {x!r}")
+def _is_integer(x) -> bool:
+    """The one integer rule of the library: an int or an int subclass; a
+    float or a bool (JSON true/false) is not an integer."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integer(x, what: str = "", error: type = TypeError) -> int:
+    """x if it is an integer, else error naming what x is (if given)."""
+    if not _is_integer(x):
+        prefix = f"{what}: " if what else ""
+        raise error(f"{prefix}expected an integer, got {x!r}")
     return x
-
-
-def _whole(x, what: str) -> int:
-    """x if it is an integer, else a GroupError naming what x is."""
-    try:
-        return _integer(x)
-    except TypeError as exc:
-        raise GroupError(f"{what}: {exc}") from None
 
 
 def _int_text(text: str) -> int:

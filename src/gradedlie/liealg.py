@@ -10,6 +10,7 @@ the graded-Lie-subspace check on endomorphism spans all live here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
                     Tuple)
 
 from . import linalg
-from .groups import GroupElement, GroupSpec, _degree_classes, _integer, commute
+from .groups import GroupElement, GroupSpec, _degree_classes, _integer, _is_integer, commute
 from .linalg import _accumulate, _integer_row, _sparse_add, _sparse_scale
 
 LieVector = Dict[int, Fraction]
@@ -108,19 +109,26 @@ class GradedAlphabet:
 
 
 def _check_indices(what: str, *indices) -> None:
-    """Indices (and lengths) are integers; a float or a bool is refused, not
-    coerced."""
+    """Indices (and lengths) are integers by groups._integer; a float or a
+    bool is refused, not coerced."""
     for x in indices:
-        try:
-            _integer(x)
-        except TypeError as exc:
-            raise LieAlgebraError(f"{what}: {exc}") from None
+        _integer(x, what, LieAlgebraError)
+
+
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
 
 
 def _coefficient(c) -> Fraction:
-    """An exact structure coefficient from an int, a Fraction or a string; a
-    float or a bool is refused, not converted."""
-    if not isinstance(c, (int, Fraction, str)) or isinstance(c, bool):
+    """An exact scalar from an integer, a Fraction or a string; a float or a
+    bool is refused, not converted.  A string (surrounding whitespace aside)
+    is a minus sign or none, ASCII digits, then optionally "/" or "." and
+    ASCII digits: Fraction alone also takes "+1", "1e3" and non-ASCII digits,
+    and "1_0" from Python 3.11 on.  Structure constants, EndoMatrix entries,
+    scalars of vectors and of SU(L), and both file loaders read them here."""
+    if isinstance(c, str):
+        if not _RATIONAL_TEXT.fullmatch(c.strip()):
+            raise LieAlgebraError(f"coefficient {c!r} is not a rational number")
+    elif not (_is_integer(c) or isinstance(c, Fraction)):
         raise LieAlgebraError(f"coefficient must be an int, a Fraction or a string, got {c!r}")
     try:
         return Fraction(c)
@@ -202,7 +210,7 @@ def vec_add(x: LieVector, y: LieVector) -> LieVector:
 
 
 def vec_scale(c, x: LieVector) -> LieVector:
-    return _sparse_scale(Fraction(c), x)
+    return _sparse_scale(_coefficient(c), x)
 
 
 def bracket(alg: GradedLieAlgebra, x: Mapping[int, Fraction],

@@ -24,13 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+from .groups import _is_integer
+
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
-
-
-def _exact(x):
-    """An int or a Fraction as it is; any other entry through Fraction."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def _integer_row(row: Sequence) -> List[int]:
@@ -40,7 +37,7 @@ def _integer_row(row: Sequence) -> List[int]:
     if kinds == {int}:
         return list(row)
     if not kinds <= {int, Fraction}:
-        row = [_exact(x) for x in row]
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     dens = [x.denominator for x in row]
     den = math.lcm(*dens)
     if den == 1:
@@ -120,8 +117,6 @@ def rank(rows: Sequence[Sequence]) -> int:
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[Vector]:
     """Canonical basis of {x : A x = 0}, one vector per free column."""
     _width(rows, ncols)
-    if not rows:
-        return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
     m, pivots = _eliminate(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -143,8 +138,6 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
 
 def _solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Optional[Vector]:
     """solve on rows of ncols entries each and one rhs entry per row."""
-    if not rows:
-        return []
     m, pivots = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
     if ncols in pivots:
         return None
@@ -157,15 +150,8 @@ def _solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Optional[Vect
 def in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
     """Coefficients expressing target in the span of the given vectors,
     or None if it is outside."""
-    tgt = [_exact(x) for x in target]
-    _width(vectors, len(tgt), "vector")
-    if not vectors:
-        return [] if all(x == 0 for x in tgt) else None
-    # coordinates where every vector and the target vanish give 0 = 0
-    live = [d for d, t in enumerate(tgt) if t or any(v[d] for v in vectors)]
-    if not live:
-        return [Fraction(0)] * len(vectors)
-    return _solve([[v[d] for v in vectors] for d in live], [tgt[d] for d in live], len(vectors))
+    _width(vectors, len(target), "vector")
+    return _solve([[v[d] for v in vectors] for d in range(len(target))], target, len(vectors))
 
 
 def independent_subset(vectors: Sequence[Sequence]) -> List[int]:
@@ -210,15 +196,16 @@ def _concat(a: dict, b: dict) -> dict:
 # -- integer matrices ---------------------------------------------------------
 
 def _integer_matrix(rows: Sequence[Sequence[int]]) -> List[List[int]]:
-    """A copy of the rows as lists of ints.  An entry that is not an int (a
-    bool, float, str or Fraction) raises TypeError naming its row and
-    column, and a row of another length than the first raises ValueError."""
+    """A copy of the rows as lists of ints.  An entry that is not an integer
+    by groups._is_integer (a bool, float, str or Fraction) raises TypeError
+    naming its row and column, and a row of another length than the first
+    raises ValueError."""
     m = [list(row) for row in rows]
     _width(m)
     for r, row in enumerate(m):
         if not set(map(type, row)) <= {int}:
             for c, x in enumerate(row):
-                if isinstance(x, bool) or not isinstance(x, int):
+                if not _is_integer(x):
                     raise TypeError(f"entry ({r},{c}) must be an integer, got {x!r}")
     return m
 

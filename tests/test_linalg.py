@@ -607,3 +607,16 @@ def test_smith_check_rejects_a_changed_entry_anywhere(monkeypatch):
                 _check_smith(*args[:pos], _with_entry(rows, r, c, 0), *args[pos + 1:])
             sparse_cases["removed key"] += 1
     assert min(sparse_cases.values()) >= 20, sparse_cases
+
+
+# -- the elimination entry points without rows -------------------------------------
+
+def test_entry_points_without_rows_or_coordinates():
+    assert in_span([[], []], []) == [0, 0]
+    assert in_span([[]], []) == [0]
+    assert in_span([], []) == []
+    assert in_span([], [0, Fraction(0)]) == []
+    assert in_span([], [0, 1]) is None
+    assert solve([], []) == []
+    assert nullspace([], 0) == []
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
