@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
+from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 FINITE = "finite"
@@ -46,7 +48,8 @@ class GroupSpec:
     exponent) syllables, exponents taken modulo the factor order if any.
 
     The hash leaves out the table and names (equality still compares them),
-    so hashing an element does not hash its group's Cayley table.
+    so hashing an element does not hash its group's Cayley table; it is
+    hash((kind, rank, orders)), computed on first use and kept.
     """
 
     kind: str
@@ -54,6 +57,17 @@ class GroupSpec:
     names: Optional[tuple] = field(default=None, hash=False)
     rank: int = 0
     orders: tuple = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from the fields, so no cached hash crosses processes
+        return (GroupSpec, (self.kind, self.table, self.names, self.rank, self.orders))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.rank, self.orders))
 
     @staticmethod
     def finite(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None) -> "GroupSpec":
@@ -86,10 +100,10 @@ class GroupSpec:
 
     def identity(self) -> "GroupElement":
         if self.kind == FINITE:
-            return GroupElement(self, 0)
+            return _element(self, 0)
         if self.kind == FREE_ABELIAN:
-            return GroupElement(self, (0,) * self.rank)
-        return GroupElement(self, ())
+            return _element(self, (0,) * self.rank)
+        return _element(self, ())
 
     def generator(self, i: int, exponent: int = 1) -> "GroupElement":
         """The i-th generator (or its power) in word-like backends; the
@@ -102,16 +116,16 @@ class GroupSpec:
         if self.kind == FREE_ABELIAN:
             vec = [0] * self.rank
             vec[i] = exponent
-            return GroupElement(self, tuple(vec))
+            return _element(self, tuple(vec))
         e = self._exponent(i, exponent)
-        return GroupElement(self, ((i, e),) if e else ())
+        return _element(self, ((i, e),) if e else ())
 
     def element(self, index: int) -> "GroupElement":
         if self.kind != FINITE:
             raise GroupError("element(index) is only available in the finite backend")
         if not 0 <= _integer(index, "element index", GroupError) < self.rank:
             raise GroupError(f"element index {index} out of range for order {self.rank}")
-        return GroupElement(self, index)
+        return _element(self, index)
 
     # -- literals ----------------------------------------------------------
 
@@ -133,7 +147,7 @@ class GroupSpec:
     def _parse(self, literal: Literal) -> "GroupElement":
         if self.kind == FINITE:
             if isinstance(literal, str) and self.names and literal in self.names:
-                return GroupElement(self, self.names.index(literal))
+                return _element(self, self.names.index(literal))
             return self.element(_int_text(literal) if isinstance(literal, str)
                                 else _integer(literal))
         if self.kind == FREE:
@@ -147,7 +161,7 @@ class GroupSpec:
             vec = [_integer(x) for x in vec]
             if len(vec) != self.rank:
                 raise GroupError(f"expected a vector of length {self.rank}, got {vec}")
-            return GroupElement(self, tuple(vec))
+            return _element(self, tuple(vec))
         syllables = json.loads(literal) if isinstance(literal, str) else list(literal)
         return self.product(self.generator(_integer(f), _integer(e)) for f, e in syllables)
 
@@ -193,13 +207,16 @@ class GroupSpec:
                 f"element of a {elem.spec.kind} group used with a {self.kind} group")
 
     def mul(self, a: "GroupElement", b: "GroupElement") -> "GroupElement":
-        self._claim(a)
-        self._claim(b)
-        if self.kind == FINITE:
-            return GroupElement(self, self.table[a.data][b.data])
-        if self.kind == FREE_ABELIAN:
-            return GroupElement(self, tuple(x + y for x, y in zip(a.data, b.data)))
-        return GroupElement(self, self._merge(a.data, b.data))
+        if a.__class__ is not GroupElement or a.spec is not self:
+            self._claim(a)
+        if b.__class__ is not GroupElement or b.spec is not self:
+            self._claim(b)
+        kind = self.kind
+        if kind == FINITE:
+            return _element(self, self.table[a.data][b.data])
+        if kind == FREE_ABELIAN:
+            return _element(self, tuple(map(add, a.data, b.data)))
+        return _element(self, self._merge(a.data, b.data))
 
     def product(self, elems: Iterable["GroupElement"]) -> "GroupElement":
         """Ordered product of the elements; the identity when there are none."""
@@ -212,10 +229,10 @@ class GroupSpec:
         self._claim(a)
         if self.kind == FINITE:
             row = self.table[a.data]
-            return GroupElement(self, row.index(0))
+            return _element(self, row.index(0))
         if self.kind == FREE_ABELIAN:
-            return GroupElement(self, tuple(-x for x in a.data))
-        return GroupElement(self, tuple((g, self._exponent(g, -e)) for g, e in reversed(a.data)))
+            return _element(self, tuple(-x for x in a.data))
+        return _element(self, tuple((g, self._exponent(g, -e)) for g, e in reversed(a.data)))
 
     # -- words (free groups and free products of cyclic groups) -------------
 
@@ -228,6 +245,8 @@ class GroupSpec:
     def _merge(self, left: tuple, right: tuple) -> tuple:
         """Concatenate two reduced words, cancelling at the seam and
         dropping syllables whose exponent becomes 0."""
+        if not left or not right or left[-1][0] != right[0][0]:
+            return left + right  # nothing meets at the seam
         stack = list(left)
         pos = 0
         while stack and pos < len(right):
@@ -244,12 +263,50 @@ class GroupSpec:
         return tuple(stack) + right[pos:]
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """An element in normal form; equality and hashing are structural."""
+    """An element in normal form; equality and hashing are structural.
 
-    spec: GroupSpec
-    data: Union[int, tuple]
+    spec and data are read-only: assigning or deleting either raises
+    dataclasses.FrozenInstanceError (an AttributeError), as on the frozen
+    dataclass this class replaces, and repr, equality and hash read as
+    they did there.  The hash is hash((spec, data)), computed on first use
+    and kept; equality tests identity first, then data and spec.  Products
+    are built by _element, without a Python-level __init__."""
+
+    __slots__ = ("spec", "data", "_hash")
+    __match_args__ = ("spec", "data")
+
+    def __init__(self, spec: GroupSpec, data: Union[int, tuple]):
+        _set_spec(self, spec)
+        _set_data(self, data)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt from spec and data, so no cached hash crosses processes
+        return (GroupElement, (self.spec, self.data))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.data == other.data and (self.spec is other.spec or self.spec == other.spec)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.spec, self.data))
+            _set_hash(self, h)
+            return h
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(spec={self.spec!r}, data={self.data!r})"
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
@@ -269,6 +326,19 @@ class GroupElement:
 
     def __str__(self) -> str:
         return self.spec.format(self)
+
+
+_set_spec = GroupElement.spec.__set__
+_set_data = GroupElement.data.__set__
+_set_hash = GroupElement._hash.__set__
+
+
+def _element(spec: GroupSpec, data: Union[int, tuple], _new=object.__new__) -> GroupElement:
+    """GroupElement(spec, data) without the call to __init__."""
+    e = _new(GroupElement)
+    _set_spec(e, spec)
+    _set_data(e, data)
+    return e
 
 
 # -- module-level operations -------------------------------------------------

@@ -10,7 +10,6 @@ the graded-Lie-subspace check on endomorphism spans all live here.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -19,7 +18,7 @@ from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 from . import linalg
 from .groups import GroupElement, GroupSpec, _degree_classes, _integer, _is_integer, commute
-from .linalg import _accumulate, _integer_row, _sparse_add, _sparse_scale
+from .linalg import _accumulate, _integer_row, _rational_text, _sparse_add, _sparse_scale
 
 LieVector = Dict[int, Fraction]
 
@@ -90,6 +89,15 @@ class GradedAlphabet:
                 table[i] = friends
         return tuple(table)
 
+    @cached_property
+    def _degree_index(self) -> Tuple[Dict[GroupElement, int], Tuple[int, ...]]:
+        """The distinct degrees, each mapped to its position in first-appearance
+        order, and each letter's position among them."""
+        index: Dict[GroupElement, int] = {}
+        for d in self.degrees:
+            index.setdefault(d, len(index))
+        return index, tuple(index[d] for d in self.degrees)
+
     def letters_commute(self, i: int, j: int) -> bool:
         return j in self._commuting[i]
 
@@ -105,7 +113,10 @@ class GradedAlphabet:
         subgroup, that is iff its letters pairwise commute."""
         letters = set(word)
         table = self._commuting
-        return all(letters <= table[i] for i in letters)
+        for i in letters:
+            if not letters <= table[i]:
+                return False
+        return True
 
 
 def _check_indices(what: str, *indices) -> None:
@@ -115,25 +126,20 @@ def _check_indices(what: str, *indices) -> None:
         _integer(x, what, LieAlgebraError)
 
 
-_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
-
-
 def _coefficient(c) -> Fraction:
     """An exact scalar from an integer, a Fraction or a string; a float or a
-    bool is refused, not converted.  A string (surrounding whitespace aside)
-    is a minus sign or none, ASCII digits, then optionally "/" or "." and
-    ASCII digits: Fraction alone also takes "+1", "1e3" and non-ASCII digits,
-    and "1_0" from Python 3.11 on.  Structure constants, EndoMatrix entries,
-    scalars of vectors and of SU(L), and both file loaders read them here."""
+    bool is refused, not converted.  A string is read by the grammar of
+    linalg._rational_text, the one every exact-scalar entry of the library
+    follows.  Structure constants, EndoMatrix entries, scalars of vectors
+    and of SU(L), and both file loaders read them here."""
     if isinstance(c, str):
-        if not _RATIONAL_TEXT.fullmatch(c.strip()):
+        value = _rational_text(c)
+        if value is None:
             raise LieAlgebraError(f"coefficient {c!r} is not a rational number")
-    elif not (_is_integer(c) or isinstance(c, Fraction)):
+        return value
+    if not (_is_integer(c) or isinstance(c, Fraction)):
         raise LieAlgebraError(f"coefficient must be an int, a Fraction or a string, got {c!r}")
-    try:
-        return Fraction(c)
-    except (ValueError, ZeroDivisionError):
-        raise LieAlgebraError(f"coefficient {c!r} is not a rational number") from None
+    return Fraction(c)
 
 
 def _check_basis_indices(n: int, *indices) -> None:
@@ -356,17 +362,38 @@ class EndoMatrix:
 
 
 def check_block_invariant(alg: GradedLieAlgebra, mat: EndoMatrix) -> None:
-    """Raise GradedSpanError unless mat respects its declared degree."""
+    """Raise GradedSpanError unless mat respects its declared degree: every
+    nonzero entry (r, c) has deg e_r = mat.degree * deg e_c.  The first entry
+    outside its block, in row-major order, is the one named."""
+    who = _check_block_shape(alg, mat)
+    _check_block_entries(alg, mat, who, [(r, c) for r, row in enumerate(mat.rows)
+                                         for c, x in enumerate(row) if x])
+
+
+def _check_block_shape(alg: GradedLieAlgebra, mat: EndoMatrix) -> str:
+    """The name of mat in messages, once it is known to have a declared
+    degree and n x n entries; raise GradedSpanError otherwise."""
     who = mat.label or "matrix"
     if mat.degree is None:
         raise GradedSpanError(f"{who} has no declared degree")
     if len(mat.rows) != alg.n or any(len(r) != alg.n for r in mat.rows):
         raise GradedSpanError(f"{who} is not {alg.n}x{alg.n}")
-    for r in range(alg.n):
-        for c in range(alg.n):
-            if mat.rows[r][c] != 0 and alg.degree(r) != mat.degree * alg.degree(c):
-                raise GradedSpanError(
-                    f"{who} has entry ({r},{c}) outside its degree block")
+    return who
+
+
+def _check_block_entries(alg: GradedLieAlgebra, mat: EndoMatrix, who: str,
+                         cells: Sequence[Tuple[int, int]]) -> None:
+    """Raise GradedSpanError at the first of the cells (r, c), the nonzero
+    entries of mat in row-major order, with deg e_r != mat.degree * deg e_c.
+    The product is formed once per distinct column degree and compared by
+    its position among the distinct degrees (-1 outside them)."""
+    if not cells:
+        return
+    index, position = alg._degree_index
+    want = [index.get(mat.degree * d, -1) for d in index]
+    for r, c in cells:
+        if position[r] != want[position[c]]:
+            raise GradedSpanError(f"{who} has entry ({r},{c}) outside its degree block")
 
 
 def inner_derivations(alg: GradedLieAlgebra) -> List[EndoMatrix]:
@@ -424,30 +451,39 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     For each pair: if the declared degrees do not commute the commutator must
     vanish; otherwise a nonzero commutator must lie in the span of the listed
     matrices of the product degree.  The first offending pair is the witness.
-    Each matrix is scaled to integers once (times the lcm of its
+    Every matrix passes check_block_invariant first, read on its nonzero
+    entries.  Each matrix is scaled to integers once (times the lcm of its
     denominators), which changes neither answer, and held as sparse rows;
-    a commutator is a sparse product, keyed by the flat index r*n + c, and
-    its span is decided on the coordinates where it or a matrix of the
-    product degree is nonzero.
+    a commutator is a sparse product, keyed by the flat index r*n + c.  The
+    matrices of one degree are brought to a sparse echelon basis once per
+    call, when a commutator first lands at that degree, and a commutator is
+    in their span iff reducing it by that basis leaves nothing.
     """
-    for mat in mats:
-        check_block_invariant(alg, mat)
     n = alg.n
     flats, ints = [], []
     for mat in mats:
+        who = _check_block_shape(alg, mat)
         flat = _integer_row(mat.flatten())
+        rows = [{c: x for c, x in enumerate(flat[r:r + n]) if x} for r in range(0, n * n, n)]
+        _check_block_entries(alg, mat, who, [(r, c) for r, row in enumerate(rows) for c in row])
         flats.append({p: x for p, x in enumerate(flat) if x})
-        ints.append([{c: x for c, x in enumerate(flat[r:r + n]) if x} for r in range(0, n * n, n)])
-    pools = {d: [flats[i] for i in idxs] for d, idxs in _degree_classes([m.degree for m in mats])}
+        ints.append(rows)
+    classes = _degree_classes([m.degree for m in mats])
+    pools = {d: [flats[i] for i in idxs] for d, idxs in classes}
+    # each pool is eliminated once, when a commutator first lands in it
+    bases: Dict[GroupElement, list] = {}
     for i1 in range(len(mats)):
         for i2 in range(i1 + 1, len(mats)):
             u, v = mats[i1], mats[i2]
             comm: Dict[int, int] = {}
             for a, b, sign in ((ints[i1], ints[i2], 1), (ints[i2], ints[i1], -1)):
                 for r, row in enumerate(a):
+                    at = r * n
                     for k, x in row.items():
+                        x *= sign
                         for c, y in b[k].items():
-                            _accumulate(comm, r * n + c, sign * x * y)
+                            comm[at + c] = comm.get(at + c, 0) + x * y
+            comm = {p: x for p, x in comm.items() if x}
             if not commute(u.degree, v.degree):
                 if comm:
                     return GradedSpanReport(
@@ -456,10 +492,11 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
                 continue
             if not comm:
                 continue
-            pool = pools.get(u.degree * v.degree, [])
-            coords = sorted(set(comm).union(*pool))
-            if linalg.in_span([[w.get(p, 0) for p in coords] for w in pool],
-                              [comm.get(p, 0) for p in coords]) is None:
+            d = u.degree * v.degree
+            basis = bases.get(d)
+            if basis is None:
+                basis = bases[d] = linalg._sparse_echelon(pools.get(d, []))
+            if linalg._sparse_reduce(basis, comm):
                 return GradedSpanReport(
                     False, (i1, i2),
                     "commutator escapes the span at the product degree")

@@ -20,6 +20,7 @@ product.  No floating point anywhere.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -30,14 +31,57 @@ Vector = List[Fraction]
 Matrix = List[List[Fraction]]
 
 
-def _integer_row(row: Sequence) -> List[int]:
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
+def _rational_text(text: str) -> Optional[Fraction]:
+    """The rational a string spells, or None.  Surrounding whitespace aside,
+    the string is a minus sign or none, ASCII digits, then optionally "/" or
+    "." and ASCII digits, with a nonzero denominator: Fraction alone also
+    takes "+1", "1e3" and non-ASCII digits, and "1_0" from Python 3.11 on."""
+    if not _RATIONAL_TEXT.fullmatch(text.strip()):
+        return None
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        return None
+
+
+def _exact_entry(x, where: str):
+    """x by the library's one exact-scalar rule: an integer (by
+    groups._is_integer) or a Fraction as it is, a string as the rational
+    _rational_text reads in it.  A string it does not read raises
+    ValueError, and any other entry (a float, a bool, None) TypeError, each
+    naming where x is."""
+    if isinstance(x, str):
+        value = _rational_text(x)
+        if value is None:
+            raise ValueError(f"{where} is not a rational number: {x!r}")
+        return value
+    if isinstance(x, Fraction) or _is_integer(x):
+        return x
+    raise TypeError(f"{where} must be an int, a Fraction or a string, got {x!r}")
+
+
+def _check_exact(rows: Sequence[Sequence], where: str) -> None:
+    """Refuse, by _exact_entry, the first entry of the rows outside the
+    exact-scalar rule; where names entry c of row r, as a format string
+    over r and c."""
+    for r, row in enumerate(rows):
+        if not set(map(type, row)) <= {int, Fraction}:
+            for c, x in enumerate(row):
+                _exact_entry(x, where.format(r=r, c=c))
+
+
+def _integer_row(row: Sequence, r: int = 0) -> List[int]:
     """The row times the lcm of its denominators, as ints.  Ints and
-    Fractions are read as they are; any other entry goes through Fraction."""
+    Fractions are read as they are and the rest by _exact_entry, which
+    names the entry as entry c of row r."""
     kinds = set(map(type, row))
     if kinds == {int}:
         return list(row)
     if not kinds <= {int, Fraction}:
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+        row = [_exact_entry(x, f"row {r}, entry {c}") for c, x in enumerate(row)]
     dens = [x.denominator for x in row]
     den = math.lcm(*dens)
     if den == 1:
@@ -68,8 +112,14 @@ def _eliminate(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List[int]], L
     multiple of row r of the reduced row echelon form, with its pivot in
     column pivots[r] and zeros in every other pivot column; the rows below
     the rank are dropped."""
-    # a zero row holds no pivot, so it is skipped before it is scaled
-    m = list(map(_integer_row, filter(any, rows)))
+    # a zero row holds no pivot, so it is skipped without being scaled once
+    # its entries are known to be exact scalars
+    m = []
+    for r, row in enumerate(rows):
+        if any(row):
+            m.append(_integer_row(row, r))
+        elif not set(map(type, row)) <= {int, Fraction}:
+            _integer_row(row, r)
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -133,7 +183,10 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
     """One exact solution of A x = b, or None if the system is inconsistent."""
     if len(rhs) != len(rows):
         raise ValueError(f"right-hand side has {len(rhs)} entries, expected {len(rows)}")
-    return _solve(rows, rhs, _width(rows))
+    ncols = _width(rows)
+    _check_exact(rows, "row {r}, entry {c}")
+    _check_exact([rhs], "right-hand side entry {c}")
+    return _solve(rows, rhs, ncols)
 
 
 def _solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Optional[Vector]:
@@ -151,6 +204,8 @@ def in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
     """Coefficients expressing target in the span of the given vectors,
     or None if it is outside."""
     _width(vectors, len(target), "vector")
+    _check_exact(vectors, "vector {r}, entry {c}")
+    _check_exact([target], "target entry {c}")
     return _solve([[v[d] for v in vectors] for d in range(len(target))], target, len(vectors))
 
 
@@ -158,6 +213,7 @@ def independent_subset(vectors: Sequence[Sequence]) -> List[int]:
     """Indices of the greedy maximal linearly independent subset, in order:
     the pivot columns of the matrix whose columns are the vectors."""
     _width(vectors, what="vector")
+    _check_exact(vectors, "vector {r}, entry {c}")
     return _eliminate(list(zip(*vectors)), len(vectors))[1]
 
 
@@ -181,6 +237,46 @@ def _sparse_add(x: dict, y: dict) -> dict:
 
 def _sparse_scale(c, x: dict) -> dict:
     return {key: c * v for key, v in x.items()} if c != 0 else {}
+
+
+def _sparse_reduce(basis: Sequence[Tuple[object, dict]], vec: dict) -> dict:
+    """vec, times a nonzero integer, minus the integer combination of the
+    basis rows that clears their pivots; empty iff vec is in their span.
+    basis is _sparse_echelon's: (pivot, row) pairs of integer rows, each
+    row zero at the pivots of the rows before it, so clearing the pivots
+    in order leaves each one cleared."""
+    v = dict(vec)
+    for p, row in basis:
+        f = v.get(p)
+        if f:
+            pv = row[p]
+            g = math.gcd(f, pv)
+            f, pv = f // g, pv // g
+            if pv != 1:
+                v = {k: pv * x for k, x in v.items()}
+            for k, x in row.items():
+                y = v.get(k, 0) - f * x
+                if y:
+                    v[k] = y
+                else:
+                    del v[k]
+    return v
+
+
+def _sparse_echelon(vectors: Sequence[dict]) -> List[Tuple[object, dict]]:
+    """A fraction-free echelon basis of the span of sparse integer vectors,
+    as (pivot, row) pairs for _sparse_reduce: each vector is reduced by the
+    rows before it and, if anything is left, kept with its least key as
+    pivot, divided by the gcd of its entries."""
+    basis: List[Tuple[object, dict]] = []
+    for vec in vectors:
+        v = _sparse_reduce(basis, vec)
+        if v:
+            g = math.gcd(*v.values())
+            if g > 1:
+                v = {k: x // g for k, x in v.items()}
+            basis.append((min(v), v))
+    return basis
 
 
 def _concat(a: dict, b: dict) -> dict:
@@ -316,17 +412,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
         U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
         Ui_t[src] = [a - q * b for a, b in zip(Ui_t[src], Ui_t[dst])]
 
-    def add_col(dst, src, q):
-        # column_dst += q * column_src; on V^-1, row_src -= q * row_dst
-        for row in M:
-            row[dst] += q * row[src]
-        acc = V_t[dst]
-        for k, x in V_t[src].items():
-            _accumulate(acc, k, q * x)
-        acc = Vi[src]
-        for k, x in Vi[dst].items():
-            _accumulate(acc, k, -q * x)
-
     def negate_row(i):
         M[i] = [-x for x in M[i]]
         U[i] = [-x for x in U[i]]
@@ -364,11 +449,33 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
                         dirty = True
             if dirty:
                 continue
-            # clear row t to the right
+            # clear row t to the right: column_j -= q * column_t, and on V^-1,
+            # row_t += q * row_j.  Column t is zero off the pivot row until
+            # the first swap of this pass (the rows above t are zero from
+            # column t on), so until then the update changes M[t] alone
             for j in range(t + 1, n):
                 if M[t][j] != 0:
                     q = M[t][j] // M[t][t]
-                    add_col(j, t, -q)
+                    if q:
+                        if dirty:
+                            for row in M:
+                                row[j] -= q * row[t]
+                        else:
+                            M[t][j] -= q * M[t][t]
+                        acc = V_t[j]
+                        for k, x in V_t[t].items():
+                            y = acc.get(k, 0) - q * x
+                            if y:
+                                acc[k] = y
+                            else:
+                                del acc[k]
+                        acc = Vi[t]
+                        for k, x in Vi[j].items():
+                            y = acc.get(k, 0) + q * x
+                            if y:
+                                acc[k] = y
+                            else:
+                                del acc[k]
                     if M[t][j] != 0:
                         swap_cols(t, j)
                         dirty = True
@@ -411,13 +518,17 @@ def _check_smith(orig, D, U, V_t, U_inv, Vi) -> None:
         for j in range(n):
             if i != j and D[i][j] != 0:
                 raise ArithmeticError("smith normal form postcondition failed: D not diagonal")
-    # column i of V*V^-1 is the sum over k of V^-1[k][i] times column k of V
+    # column i of V*V^-1 is the sum over k of V^-1[k][i] times column k of V;
+    # it is column i of I when its entry i is 1 and every other entry is 0
     cols: List[dict] = [{} for _ in range(n)]
-    for k, row in enumerate(Vi):
+    for row, col_k in zip(Vi, V_t):
+        col_k = col_k.items()
         for i, x in row.items():
-            for j, y in V_t[k].items():
-                _accumulate(cols[i], j, x * y)
-    if _mat_mul(U, U_inv) != _identity(m) or any(col != {i: 1} for i, col in enumerate(cols)):
+            col = cols[i]
+            for j, y in col_k:
+                col[j] = col.get(j, 0) + x * y
+    if _mat_mul(U, U_inv) != _identity(m) or any(
+            col.pop(i, 0) != 1 or any(col.values()) for i, col in enumerate(cols)):
         raise ArithmeticError("smith normal form postcondition failed: transform not unimodular")
     for i, row in enumerate(_mat_mul(U, orig)):
         want = [0] * n

@@ -111,8 +111,11 @@ def _straighten(alg: GradedLieAlgebra, words: Dict[Monomial, Fraction]) -> SUEle
     each step lowers (length, inversion count) lexicographically; equal
     adjacent letters are never swapped.
     """
+    n = alg.n
     for word in words:
-        _check_basis_indices(alg.n, *word)
+        for i in word:
+            if type(i) is not int or not 0 <= i < n:
+                _check_basis_indices(n, *word)
     pending = {w: c for w, c in words.items() if c != 0 and alg.word_is_gas(w)}
     result: Dict[Monomial, Fraction] = {}
     while pending:

@@ -123,10 +123,14 @@ def abelianize(pres: Presentation) -> AbelianizationData:
 
 
 def _check_images(pres: Presentation, data: AbelianizationData) -> None:
-    # every relation must hold additively on the reported images
+    # every relation must hold additively on the reported images; a label's
+    # image is that of its first generator, as in image_of
+    image: dict = {}
+    for label, img in zip(data.generators, data.images):
+        image.setdefault(label, img)
     r = data.free_rank
     for s1, s2, s3 in pres.relations:
-        a, b, c = data.image_of(s1), data.image_of(s2), data.image_of(s3)
+        a, b, c = image[s1], image[s2], image[s3]
         for t in range(r):
             if a[t] + b[t] - c[t] != 0:
                 raise ArithmeticError(

@@ -1,10 +1,11 @@
+import pickle
 import random
 import re
 
 import pytest
 
-from gradedlie.groups import (BackendMismatch, GroupError, GroupSpec, InvalidCayleyTable,
-                              commute, generates_abelian_subgroup, inv, mul)
+from gradedlie.groups import (BackendMismatch, GroupElement, GroupError, GroupSpec,
+                              InvalidCayleyTable, commute, generates_abelian_subgroup, inv, mul)
 
 
 def s3_spec():
@@ -498,3 +499,99 @@ def test_elements_of_equal_specs_multiply():
     x, y = a.generator(0), b.generator(1)
     assert a.format(x * y) == b.format(b.generator(0) * y)
     assert a.mul(y, x) == b.mul(y, b.generator(0)) != x * y
+
+
+# -- the element contract -------------------------------------------------------------
+
+def _backends():
+    """(spec, a copy of it built from the same data, sample literals) for each
+    of the four backends."""
+    return [
+        (s3_spec(), s3_spec(), ["1", "(012)", "(02)"]),
+        (GroupSpec.free(3), GroupSpec.free(3), ["1", "a b^-2", "c a"]),
+        (GroupSpec.free_abelian(2), GroupSpec.free_abelian(2), ["[0,0]", "[1,-2]", "[3,4]"]),
+        (GroupSpec.free_product_cyclic([2, 3]), GroupSpec.free_product_cyclic([2, 3]),
+         ["1", "[[0,1],[1,2]]", "[[1,1]]"]),
+    ]
+
+
+@pytest.mark.parametrize("spec, copy, literals", _backends(),
+                         ids=["finite", "free", "free_abelian", "free_product_cyclic"])
+def test_element_equality_and_hash_across_equal_specs(spec, copy, literals):
+    assert spec is not copy and spec == copy and hash(spec) == hash(copy)
+    for text in literals:
+        x, y = spec.parse(text), copy.parse(text)
+        assert x == y and not x != y and hash(x) == hash(y)
+        assert hash(x) == hash((x.spec, x.data)) == hash((copy, y.data))
+        assert len({x, y}) == 1 and {x: 1}[y] == 1
+        product = x * spec.parse(literals[1])
+        assert type(product) is GroupElement
+        assert hash(product) == hash((spec, product.data))
+        assert product == copy.parse(spec.format(product))
+
+
+def test_elements_of_different_backends_are_unequal():
+    elements = [spec.parse(text) for spec, _, literals in _backends() for text in literals]
+    elements.append(GroupSpec.free_product_cyclic([2, 2]).parse("[[0,1],[1,1]]"))
+    for i, x in enumerate(elements):
+        for j, y in enumerate(elements):
+            assert (x == y) == (i == j), (x, y)
+            assert (x != y) == (i != j), (x, y)
+    # the free group and a free product of cyclic groups share the word data
+    free, fpc = GroupSpec.free(2), GroupSpec.free_product_cyclic([2, 2])
+    assert free.identity().data == fpc.identity().data == ()
+    assert free.identity() != fpc.identity()
+    assert free.generator(0) != fpc.generator(0)
+    # nor does an element equal its own data, or the pair it hashes as
+    for x in elements:
+        assert x != x.data and x != (x.spec, x.data)
+
+
+@pytest.mark.parametrize("spec, copy, literals", _backends(),
+                         ids=["finite", "free", "free_abelian", "free_product_cyclic"])
+def test_elements_are_immutable(spec, copy, literals):
+    x = spec.parse(literals[1])
+    h = hash(x)
+    for name, value in (("spec", copy), ("data", x.data), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x.spec is spec and hash(x) == h
+
+
+def test_element_repr_and_str_are_unchanged():
+    s3 = s3_spec()
+    table = ("((0, 1, 2, 3, 4, 5), (1, 0, 4, 5, 2, 3), (2, 3, 0, 1, 5, 4), "
+             "(3, 2, 5, 4, 0, 1), (4, 5, 1, 0, 3, 2), (5, 4, 3, 2, 1, 0))")
+    cases = [
+        (s3.element(3),
+         f"GroupElement(spec=GroupSpec(kind='finite', table={table}, names=('1', '(12)', "
+         "'(01)', '(012)', '(021)', '(02)'), rank=6, orders=()), data=3)", "(012)"),
+        (GroupSpec.free(3).parse("a b^-2"),
+         "GroupElement(spec=GroupSpec(kind='free', table=None, names=None, rank=3, "
+         "orders=()), data=((0, 1), (1, -2)))", "a b^-2"),
+        (GroupSpec.free_abelian(2).parse([1, -2]),
+         "GroupElement(spec=GroupSpec(kind='free_abelian', table=None, names=None, rank=2, "
+         "orders=()), data=(1, -2))", "[1,-2]"),
+        (GroupSpec.free_product_cyclic([2, 3]).parse([[0, 1], [1, 2]]),
+         "GroupElement(spec=GroupSpec(kind='free_product_cyclic', table=None, names=None, "
+         "rank=2, orders=(2, 3)), data=((0, 1), (1, 2)))", "[[0,1],[1,2]]"),
+        (GroupSpec.free(2).identity(),
+         "GroupElement(spec=GroupSpec(kind='free', table=None, names=None, rank=2, "
+         "orders=()), data=())", "1"),
+    ]
+    for e, want_repr, want_str in cases:
+        assert repr(e) == want_repr and str(e) == want_str
+        hash(e)  # a cached hash does not show
+        assert repr(e) == want_repr and str(e) == want_str
+
+
+def test_elements_and_specs_pickle_without_their_cached_hash():
+    for spec, _, literals in _backends():
+        for text in literals:
+            x = spec.parse(text)
+            hash(x)
+            y = pickle.loads(pickle.dumps(x))
+            assert not hasattr(y, "_hash") and "_hash" not in vars(y.spec)
+            assert y == x and hash(y) == hash(x) and y.spec == spec

@@ -121,6 +121,89 @@ def test_elimination_refuses_ragged_input(case):
         entry_point(*args)
 
 
+# -- the exact-scalar rule -----------------------------------------------------------
+
+class Small(int):
+    pass
+
+
+# (entry point, arguments, error, message); each bad entry is at row 1, column 0
+# of what the caller passed, and none of them was refused before
+INEXACT = {
+    "rref_underscore": (rref, ([[1, 2], ["1_0", 1]],), ValueError,
+                        "row 1, entry 0 is not a rational number: '1_0'"),
+    "rref_underflow": (rref, ([[1, 2], [1e-400, 1]],), TypeError,
+                       "row 1, entry 0 must be an int, a Fraction or a string, got 0.0"),
+    "rref_bool": (rref, ([[1, 2], [True, 2]],), TypeError,
+                  "row 1, entry 0 must be an int, a Fraction or a string, got True"),
+    "rank_zero_float_row": (rank, ([[1, 2], [0.0, 0]],), TypeError,
+                            "row 1, entry 0 must be an int, a Fraction or a string, got 0.0"),
+    "rank_false_row": (rank, ([[1, 2], [False, 0]],), TypeError,
+                       "row 1, entry 0 must be an int, a Fraction or a string, got False"),
+    "rank_empty_string": (rank, ([[1, 2], ["", 0]],), ValueError,
+                          "row 1, entry 0 is not a rational number: ''"),
+    "nullspace_exponent": (nullspace, ([[1, 2], ["1e3", 0]], 2), ValueError,
+                           "row 1, entry 0 is not a rational number: '1e3'"),
+    "nullspace_zero_denominator": (nullspace, ([[1, 2], ["1/0", 0]], 2), ValueError,
+                                   "row 1, entry 0 is not a rational number: '1/0'"),
+    "solve_none": (solve, ([[1, 2], [None, 1]], [0, 1]), TypeError,
+                   "row 1, entry 0 must be an int, a Fraction or a string, got None"),
+    "solve_rhs": (solve, ([[1, 2], [3, 1]], [0, 0.5]), TypeError,
+                  "right-hand side entry 1 must be an int, a Fraction or a string, got 0.5"),
+    "in_span_vector": (in_span, ([[1, 2], [1.0, 0]], [1, 2]), TypeError,
+                       "vector 1, entry 0 must be an int, a Fraction or a string, got 1.0"),
+    "in_span_target": (in_span, ([[1, 2], [1, 0]], [1, True]), TypeError,
+                       "target entry 1 must be an int, a Fraction or a string, got True"),
+    "independent_subset": (independent_subset, ([[1, 2], ["+1", 0]],), ValueError,
+                           "vector 1, entry 0 is not a rational number: '+1'"),
+}
+
+
+@pytest.mark.parametrize("case", list(INEXACT))
+def test_elimination_reads_entries_by_the_exact_scalar_rule(case):
+    entry_point, args, error, message = INEXACT[case]
+    with pytest.raises(error) as got:
+        entry_point(*args)
+    assert str(got.value) == message
+
+
+def test_elimination_reads_strings_in_the_grammar_and_int_subclasses():
+    assert rref([[" -2/4 ", "007.250"], [Small(2), 1]]) == \
+        ([[1, 0], [0, 1]], [0, 1])
+    assert rref([["-1/2", "29/4"]]) == ([[1, Fraction(-29, 2)]], [0])
+    assert rank([["0", "0"], [0, Fraction(0)]]) == 0
+    assert solve([[2, "1/3"]], ["5/6"]) == [Fraction(5, 12), 0]
+    assert in_span([["1/2", 0], [0, Small(1)]], ["3", "-4"]) == [6, -4]
+    assert independent_subset([[0, "0"], ["1/2", 1], [Small(1), 2]]) == [1]
+
+
+def test_sparse_echelon_decides_span_membership_like_in_span():
+    rng = random.Random(61)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        width = rng.randrange(1, 9)
+
+        def vector():
+            return {k: rng.choice((-3, -1, 1, 2, 4)) for k in range(width) if rng.random() < 0.4}
+        pool = [vector() for _ in range(rng.randrange(5))]
+        if pool and rng.random() < 0.5:  # a combination of the pool, often in it
+            target = {}
+            for v in pool:
+                f = rng.randint(-2, 2)
+                for k, x in v.items():
+                    linalg._accumulate(target, k, f * x)
+        else:
+            target = vector()
+        basis = linalg._sparse_echelon(pool)
+        assert len(basis) == rank([[v.get(k, 0) for k in range(width)] for v in pool])
+        inside = not linalg._sparse_reduce(basis, target)
+        want = in_span([[v.get(k, 0) for k in range(width)] for v in pool],
+                       [target.get(k, 0) for k in range(width)]) is not None
+        assert inside == want
+        seen[inside] += 1
+    assert min(seen.values()) >= 50, seen
+
+
 # -- integer determinant -----------------------------------------------------------
 
 def _det_fraction(rows):

@@ -364,3 +364,88 @@ def test_coarsening_check_reads_a_relabel_that_covers_the_product():
     assert coarsening_check(alg, {**sign, s * t: z2.element(0), t * s: z2.element(0)}).ok
     report = coarsening_check(alg, {**sign, s * t: z2.element(0), t * s: z2.element(1)})
     assert not report.ok and report.witness == (1, 0)
+
+
+# -- the block invariant -----------------------------------------------------------------
+
+def block_invariant_by_definition(alg, mat):
+    """The block check on all n^2 entries, a degree product for each."""
+    who = mat.label or "matrix"
+    if mat.degree is None:
+        raise GradedSpanError(f"{who} has no declared degree")
+    if len(mat.rows) != alg.n or any(len(r) != alg.n for r in mat.rows):
+        raise GradedSpanError(f"{who} is not {alg.n}x{alg.n}")
+    for r in range(alg.n):
+        for c in range(alg.n):
+            if mat.rows[r][c] != 0 and alg.degree(r) != mat.degree * alg.degree(c):
+                raise GradedSpanError(f"{who} has entry ({r},{c}) outside its degree block")
+
+
+def _block_verdict(check, *args):
+    try:
+        check(*args)
+    except GradedSpanError as exc:
+        return str(exc)
+    return None
+
+
+def test_block_invariant_names_the_first_outside_entry_in_row_major_order():
+    s, t = S3.element(2), S3.element(1)
+    alg = GradedLieAlgebra(S3, [s, t, s * t], {}, ["x", "y", "z"])
+    # degree s maps x (deg s) to deg 1, which no letter has; y (deg t) to
+    # deg st = deg z; z to deg t = deg y
+    rows = [[0] * 3 for _ in range(3)]
+    rows[2][1] = 5  # inside the block
+    rows[1][0] = 1  # outside, after (0, 2) in row-major order
+    rows[0][2] = 2  # outside
+    mat = EndoMatrix.build(rows, s, "m")
+    want = "m has entry (0,2) outside its degree block"
+    for check in (check_block_invariant, block_invariant_by_definition):
+        with pytest.raises(GradedSpanError) as got:
+            check(alg, mat)
+        assert str(got.value) == want
+    with pytest.raises(GradedSpanError) as got:
+        is_graded_lie_subspace(alg, [EndoMatrix.build([[0] * 3] * 3, t), mat])
+    assert str(got.value) == want
+    rows[0][2] = 0
+    assert _block_verdict(check_block_invariant, alg, EndoMatrix.build(rows, s, "m")) == \
+        "m has entry (1,0) outside its degree block"
+
+
+@pytest.mark.parametrize("mat, message", [
+    (EndoMatrix.build([[1, 0], [0, 1]], None, "no degree"), "no degree has no declared degree"),
+    (EndoMatrix((("1.5", 0, 0),) * 2, S3.identity(), "short"), "short is not 3x3"),
+    (EndoMatrix(((1.5, 0), (0, 1), (0, 0)), S3.identity()), "matrix is not 3x3"),
+    (EndoMatrix(((1.5, 0, 0),) * 3, None), "matrix has no declared degree"),
+], ids=["no degree", "too few rows", "too few columns", "float, no degree"])
+def test_block_invariant_refuses_shape_and_degree_before_scaling(monkeypatch, mat, message):
+    from gradedlie import liealg
+    scaled = []
+    monkeypatch.setattr(liealg, "_integer_row", lambda *args: scaled.append(args))
+    alg = GradedLieAlgebra(S3, [S3.identity()] * 3, {})
+    for check in (check_block_invariant, lambda alg, mat: is_graded_lie_subspace(alg, [mat])):
+        with pytest.raises(GradedSpanError) as got:
+            check(alg, mat)
+        assert str(got.value) == message
+    assert scaled == []
+
+
+def test_block_invariant_agrees_with_the_sparse_check_on_ad_maps(algebras):
+    rng = random.Random(59)
+    outside = 0
+    assert len(algebras) == 25
+    for name, alg in algebras.items():
+        for mat in ad_maps(alg):
+            cases = [mat]
+            rows = [list(row) for row in mat.rows]
+            r, c = rng.randrange(alg.n), rng.randrange(alg.n)
+            rows[r][c] += 1
+            cases.append(EndoMatrix.build(rows, mat.degree, mat.label))
+            for case in cases:
+                want = _block_verdict(block_invariant_by_definition, alg, case)
+                assert _block_verdict(check_block_invariant, alg, case) == want, name
+                # is_graded_lie_subspace reads the block on its sparse integer rows
+                got = _block_verdict(is_graded_lie_subspace, alg, [case])
+                assert got == want, name
+                outside += want is not None
+    assert outside >= 20
