@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .groups import (GroupElement, _degree_classes, _integer, _is_integer,
                      generates_abelian_subgroup)
 from .liealg import GradedAlphabet
-from .linalg import _concat, _sparse_add, _sparse_scale
+from .sparse import _concat, _sparse_add, _sparse_scale
 
 Word = Tuple[int, ...]
 Expansion = Dict[Word, Fraction]

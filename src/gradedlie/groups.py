@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -402,6 +403,23 @@ def _int_text(text: str) -> int:
     if not re.fullmatch(r"-?[0-9]+", text):
         raise ValueError(f"expected an integer, got {text!r}")
     return int(text)
+
+
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
+def _rational_text(text: str) -> Optional[Fraction]:
+    """The rational a string spells, or None: the one text grammar of exact
+    scalars.  Surrounding whitespace aside, the string is a minus sign or
+    none, ASCII digits, then optionally "/" or "." and ASCII digits, with a
+    nonzero denominator; Fraction alone also takes "+1", "1e3" and
+    non-ASCII digits, and "1_0" from Python 3.11 on."""
+    if not _RATIONAL_TEXT.fullmatch(text.strip()):
+        return None
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        return None
 
 
 # -- finite table validation --------------------------------------------------

@@ -16,9 +16,11 @@ from fractions import Fraction
 from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
                     Tuple)
 
-from . import linalg
-from .groups import GroupElement, GroupSpec, _degree_classes, _integer, _is_integer, commute
-from .linalg import _accumulate, _integer_row, _rational_text, _sparse_add, _sparse_scale
+from . import linalg, sparse
+from .groups import (GroupElement, GroupSpec, _degree_classes, _integer, _is_integer,
+                     _rational_text, commute)
+from .linalg import _integer_row
+from .sparse import _accumulate, _sparse_add, _sparse_scale
 
 LieVector = Dict[int, Fraction]
 
@@ -129,7 +131,7 @@ def _check_indices(what: str, *indices) -> None:
 def _coefficient(c) -> Fraction:
     """An exact scalar from an integer, a Fraction or a string; a float or a
     bool is refused, not converted.  A string is read by the grammar of
-    linalg._rational_text, the one every exact-scalar entry of the library
+    groups._rational_text, the one every exact-scalar entry of the library
     follows.  Structure constants, EndoMatrix entries, scalars of vectors
     and of SU(L), and both file loaders read them here."""
     if isinstance(c, str):
@@ -495,8 +497,8 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
             d = u.degree * v.degree
             basis = bases.get(d)
             if basis is None:
-                basis = bases[d] = linalg._sparse_echelon(pools.get(d, []))
-            if linalg._sparse_reduce(basis, comm):
+                basis = bases[d] = sparse._sparse_echelon(pools.get(d, []))
+            if sparse._sparse_reduce(basis, comm):
                 return GradedSpanReport(
                     False, (i1, i2),
                     "commutator escapes the span at the product degree")

@@ -5,52 +5,43 @@ for reduced row echelon forms, ranks, null spaces, solutions, span
 membership and independent subsets (rows are scaled to integers once and
 Fractions are built only for the outputs that need them; each entry point
 checks once that its rows have one length), a zero-skipping matrix product,
-and an integer Smith normal form D = U*M*V.  Its transforms are tracked
-together with their inverses, the wide column transforms V and V^-1 as
-sparse rows, and every call checks the diagonal and its divisibility
-chain, U*U^-1 = V*V^-1 = I (integer matrices with integer inverses, hence
+and an integer Smith normal form D = U*M*V.  The elimination entry points
+read every entry by the one exact-scalar rule (an integer, a Fraction, or a
+string in the grammar of groups._rational_text): a float, a bool or any
+other type raises TypeError, and a string outside the grammar ValueError,
+each naming the entry's row and column in the caller's terms.
+
+The Smith form tracks its transforms together with their inverses, the wide
+column transforms V and V^-1 as sparse rows updated in place.  A column
+step of the pass that clears the pivot row changes only that row while the
+pivot column is zero below it, that is until the pass swaps a remainder
+into the pivot column; the pivots, and so U, V and D, are those of the
+full update.  Every call checks the diagonal and its divisibility chain,
+U*U^-1 = V*V^-1 = I (integer matrices with integer inverses, hence
 unimodular) and U*M*V = D, read as U*M = D*V^-1, with V and V^-1 read as
 the sparse rows they are kept in; only the returned V is made dense.  The
 integer kernels (Smith form, Hermite form, determinant) take int entries
-only and coerce nothing.  Sparse vectors (dicts from keys to nonzero
-coefficients) share one accumulator, and sparse combinations of words one
-product.  No floating point anywhere.
+only and coerce nothing.  Sparse vectors live in the sparse module.  No
+floating point anywhere.
 """
-
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
-from .groups import _is_integer
+from .groups import _is_integer, _rational_text
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
 
 
-_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
-
-
-def _rational_text(text: str) -> Optional[Fraction]:
-    """The rational a string spells, or None.  Surrounding whitespace aside,
-    the string is a minus sign or none, ASCII digits, then optionally "/" or
-    "." and ASCII digits, with a nonzero denominator: Fraction alone also
-    takes "+1", "1e3" and non-ASCII digits, and "1_0" from Python 3.11 on."""
-    if not _RATIONAL_TEXT.fullmatch(text.strip()):
-        return None
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        return None
-
-
 def _exact_entry(x, where: str):
     """x by the library's one exact-scalar rule: an integer (by
     groups._is_integer) or a Fraction as it is, a string as the rational
-    _rational_text reads in it.  A string it does not read raises
+    groups._rational_text reads in it.  A string it does not read raises
     ValueError, and any other entry (a float, a bool, None) TypeError, each
     naming where x is."""
     if isinstance(x, str):
@@ -63,25 +54,15 @@ def _exact_entry(x, where: str):
     raise TypeError(f"{where} must be an int, a Fraction or a string, got {x!r}")
 
 
-def _check_exact(rows: Sequence[Sequence], where: str) -> None:
-    """Refuse, by _exact_entry, the first entry of the rows outside the
-    exact-scalar rule; where names entry c of row r, as a format string
-    over r and c."""
-    for r, row in enumerate(rows):
-        if not set(map(type, row)) <= {int, Fraction}:
-            for c, x in enumerate(row):
-                _exact_entry(x, where.format(r=r, c=c))
-
-
-def _integer_row(row: Sequence, r: int = 0) -> List[int]:
+def _integer_row(row: Sequence, r: int = 0, where: str = "row {r}, entry {c}") -> List[int]:
     """The row times the lcm of its denominators, as ints.  Ints and
     Fractions are read as they are and the rest by _exact_entry, which
-    names the entry as entry c of row r."""
+    names entry c of row r by the format string where."""
     kinds = set(map(type, row))
     if kinds == {int}:
         return list(row)
     if not kinds <= {int, Fraction}:
-        row = [_exact_entry(x, f"row {r}, entry {c}") for c, x in enumerate(row)]
+        row = [_exact_entry(x, where.format(r=r, c=c)) for c, x in enumerate(row)]
     dens = [x.denominator for x in row]
     den = math.lcm(*dens)
     if den == 1:
@@ -101,7 +82,8 @@ def _width(rows: Sequence[Sequence], width: Optional[int] = None, what: str = "r
     return width
 
 
-def _eliminate(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List[int]], List[int]]:
+def _eliminate(rows: Sequence[Sequence], ncols: int,
+               where: str = "row {r}, entry {c}") -> Tuple[List[List[int]], List[int]]:
     """Fraction-free Gauss-Jordan elimination (in the manner of Bareiss,
     Math. Comp. 22, 1968), the one kernel behind every entry point below.
     The rows have ncols entries each; the entry points check that, once.
@@ -117,9 +99,9 @@ def _eliminate(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List[int]], L
     m = []
     for r, row in enumerate(rows):
         if any(row):
-            m.append(_integer_row(row, r))
+            m.append(_integer_row(row, r, where))
         elif not set(map(type, row)) <= {int, Fraction}:
-            _integer_row(row, r)
+            _integer_row(row, r, where)
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
@@ -184,14 +166,14 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
     if len(rhs) != len(rows):
         raise ValueError(f"right-hand side has {len(rhs)} entries, expected {len(rows)}")
     ncols = _width(rows)
-    _check_exact(rows, "row {r}, entry {c}")
-    _check_exact([rhs], "right-hand side entry {c}")
+    _integer_row(rhs, 0, "right-hand side entry {c}")  # refuses an inexact entry
     return _solve(rows, rhs, ncols)
 
 
-def _solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int) -> Optional[Vector]:
+def _solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int,
+           where: str = "row {r}, entry {c}") -> Optional[Vector]:
     """solve on rows of ncols entries each and one rhs entry per row."""
-    m, pivots = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    m, pivots = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1, where)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
@@ -204,89 +186,17 @@ def in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
     """Coefficients expressing target in the span of the given vectors,
     or None if it is outside."""
     _width(vectors, len(target), "vector")
-    _check_exact(vectors, "vector {r}, entry {c}")
-    _check_exact([target], "target entry {c}")
-    return _solve([[v[d] for v in vectors] for d in range(len(target))], target, len(vectors))
+    _integer_row(target, 0, "target entry {c}")  # refuses an inexact entry
+    # row d of the system is coordinate d of every vector
+    return _solve([[v[d] for v in vectors] for d in range(len(target))], target, len(vectors),
+                  "vector {c}, entry {r}")
 
 
 def independent_subset(vectors: Sequence[Sequence]) -> List[int]:
     """Indices of the greedy maximal linearly independent subset, in order:
     the pivot columns of the matrix whose columns are the vectors."""
     _width(vectors, what="vector")
-    _check_exact(vectors, "vector {r}, entry {c}")
-    return _eliminate(list(zip(*vectors)), len(vectors))[1]
-
-
-# -- sparse vectors: dicts from keys to nonzero coefficients ------------------
-
-def _accumulate(acc: dict, key, c) -> None:
-    """acc[key] += c in place, dropping the key when the sum is zero."""
-    s = acc.get(key, 0) + c
-    if s == 0:
-        acc.pop(key, None)
-    else:
-        acc[key] = s
-
-
-def _sparse_add(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for key, c in y.items():
-        _accumulate(out, key, c)
-    return out
-
-
-def _sparse_scale(c, x: dict) -> dict:
-    return {key: c * v for key, v in x.items()} if c != 0 else {}
-
-
-def _sparse_reduce(basis: Sequence[Tuple[object, dict]], vec: dict) -> dict:
-    """vec, times a nonzero integer, minus the integer combination of the
-    basis rows that clears their pivots; empty iff vec is in their span.
-    basis is _sparse_echelon's: (pivot, row) pairs of integer rows, each
-    row zero at the pivots of the rows before it, so clearing the pivots
-    in order leaves each one cleared."""
-    v = dict(vec)
-    for p, row in basis:
-        f = v.get(p)
-        if f:
-            pv = row[p]
-            g = math.gcd(f, pv)
-            f, pv = f // g, pv // g
-            if pv != 1:
-                v = {k: pv * x for k, x in v.items()}
-            for k, x in row.items():
-                y = v.get(k, 0) - f * x
-                if y:
-                    v[k] = y
-                else:
-                    del v[k]
-    return v
-
-
-def _sparse_echelon(vectors: Sequence[dict]) -> List[Tuple[object, dict]]:
-    """A fraction-free echelon basis of the span of sparse integer vectors,
-    as (pivot, row) pairs for _sparse_reduce: each vector is reduced by the
-    rows before it and, if anything is left, kept with its least key as
-    pivot, divided by the gcd of its entries."""
-    basis: List[Tuple[object, dict]] = []
-    for vec in vectors:
-        v = _sparse_reduce(basis, vec)
-        if v:
-            g = math.gcd(*v.values())
-            if g > 1:
-                v = {k: x // g for k, x in v.items()}
-            basis.append((min(v), v))
-    return basis
-
-
-def _concat(a: dict, b: dict) -> dict:
-    """The product of two sparse combinations of words (tuples): every pair
-    of words concatenated, coefficients multiplied and accumulated."""
-    out: dict = {}
-    for wa, ca in a.items():
-        for wb, cb in b.items():
-            _accumulate(out, wa + wb, ca * cb)
-    return out
+    return _eliminate(list(zip(*vectors)), len(vectors), "vector {c}, entry {r}")[1]
 
 
 # -- integer matrices ---------------------------------------------------------
@@ -452,33 +362,28 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
             # clear row t to the right: column_j -= q * column_t, and on V^-1,
             # row_t += q * row_j.  Column t is zero off the pivot row until
             # the first swap of this pass (the rows above t are zero from
-            # column t on), so until then the update changes M[t] alone
-            for j in range(t + 1, n):
-                if M[t][j] != 0:
-                    q = M[t][j] // M[t][t]
-                    if q:
-                        if dirty:
-                            for row in M:
-                                row[j] -= q * row[t]
-                        else:
-                            M[t][j] -= q * M[t][t]
-                        acc = V_t[j]
-                        for k, x in V_t[t].items():
-                            y = acc.get(k, 0) - q * x
+            # column t on), so until then the update changes M[t] alone.  A
+            # step changes no entry of row t right of its column, so the
+            # nonzero columns are listed once, up front
+            Mt = M[t]
+            for j in list(compress(range(t + 1, n), Mt[t + 1:])):
+                q = Mt[j] // Mt[t]
+                if q:
+                    if dirty:
+                        for row in M:
+                            row[j] -= q * row[t]
+                    else:
+                        Mt[j] -= q * Mt[t]
+                    for acc, src, f in ((V_t[j], V_t[t], -q), (Vi[t], Vi[j], q)):
+                        for k, x in src.items():
+                            y = acc.get(k, 0) + f * x
                             if y:
                                 acc[k] = y
                             else:
                                 del acc[k]
-                        acc = Vi[t]
-                        for k, x in Vi[j].items():
-                            y = acc.get(k, 0) + q * x
-                            if y:
-                                acc[k] = y
-                            else:
-                                del acc[k]
-                    if M[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
+                if Mt[j] != 0:
+                    swap_cols(t, j)
+                    dirty = True
             if dirty:
                 continue
             # enforce divisibility of the remaining block by the pivot; a
@@ -514,10 +419,9 @@ def _check_smith(orig, D, U, V_t, U_inv, Vi) -> None:
     row i of U*orig is D[i][i] times row i of V^-1, and zero below row n."""
     m = len(D)
     n = len(D[0]) if m else 0
-    for i in range(m):
-        for j in range(n):
-            if i != j and D[i][j] != 0:
-                raise ArithmeticError("smith normal form postcondition failed: D not diagonal")
+    for i, row in enumerate(D):
+        if any(row[:i]) or any(row[i + 1:]):
+            raise ArithmeticError("smith normal form postcondition failed: D not diagonal")
     # column i of V*V^-1 is the sum over k of V^-1[k][i] times column k of V;
     # it is column i of I when its entry i is 1 and every other entry is 0
     cols: List[dict] = [{} for _ in range(n)]

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .liealg import (GradedAlphabet, GradedLieAlgebra, LieAlgebraError, _check_basis_indices,
                      _check_indices, _coefficient)
-from .linalg import _accumulate, _concat, _sparse_add, _sparse_scale
+from .sparse import _accumulate, _concat, _sparse_add, _sparse_scale
 
 Monomial = Tuple[int, ...]
 

@@ -49,11 +49,12 @@ def universal_presentation(alg: GradedLieAlgebra) -> Presentation:
     relations: List[Tuple[str, str, str]] = []
     for a, b in sorted(pairs):
         prod = comps[a][0] * comps[b][0]
-        if prod not in label_of:
+        label = label_of.get(prod)
+        if label is None:
             raise LieAlgebraError(
                 f"bracket lands outside the support at degree {alg.group.format(prod)}; "
                 "validate the algebra first")
-        relations.append((labels[a], labels[b], label_of[prod]))
+        relations.append((labels[a], labels[b], label))
     return Presentation(labels, relations)
 
 
