@@ -3,7 +3,14 @@
 Four families are supported: finite groups given by a Cayley table, free
 groups, free abelian groups, and free products of cyclic groups.  Every
 element is stored in a canonical normal form, so equality is plain value
-equality and all predicates (identity, commutation) are exact.
+equality and all predicates (identity, commutation) are exact.  Elements
+are immutable slotted objects: the hash, hash((spec, data)), is computed on
+first use and kept, equality tests identity first, and products are built
+without a Python-level __init__.
+
+The library's input rules live here too: the one integer rule
+(_is_integer), the ASCII integer text of literals (_int_text) and the one
+text grammar of exact rational scalars (_rational_text).
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ import json
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -49,8 +55,7 @@ class GroupSpec:
     exponent) syllables, exponents taken modulo the factor order if any.
 
     The hash leaves out the table and names (equality still compares them),
-    so hashing an element does not hash its group's Cayley table; it is
-    hash((kind, rank, orders)), computed on first use and kept.
+    so hashing an element does not hash its group's Cayley table.
     """
 
     kind: str
@@ -58,17 +63,6 @@ class GroupSpec:
     names: Optional[tuple] = field(default=None, hash=False)
     rank: int = 0
     orders: tuple = ()
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt from the fields, so no cached hash crosses processes
-        return (GroupSpec, (self.kind, self.table, self.names, self.rank, self.orders))
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.kind, self.rank, self.orders))
 
     @staticmethod
     def finite(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None) -> "GroupSpec":
