@@ -470,9 +470,7 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
         _check_block_entries(alg, mat, who, [(r, c) for r, row in enumerate(rows) for c in row])
         flats.append({p: x for p, x in enumerate(flat) if x})
         ints.append(rows)
-    classes = _degree_classes([m.degree for m in mats])
-    pools = {d: [flats[i] for i in idxs] for d, idxs in classes}
-    # each pool is eliminated once, when a commutator first lands in it
+    pools = {d: [flats[i] for i in idxs] for d, idxs in _degree_classes([m.degree for m in mats])}
     bases: Dict[GroupElement, list] = {}
     for i1 in range(len(mats)):
         for i2 in range(i1 + 1, len(mats)):

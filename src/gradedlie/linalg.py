@@ -24,6 +24,7 @@ integer kernels (Smith form, Hermite form, determinant) take int entries
 only and coerce nothing.  Sparse vectors live in the sparse module.  No
 floating point anywhere.
 """
+
 from __future__ import annotations
 
 import math
