@@ -111,16 +111,16 @@ class GroupSpec:
         if self.kind == FREE_ABELIAN:
             vec = [0] * self.rank
             vec[i] = exponent
-            return _element(self, tuple(vec))
+            return GroupElement(self, tuple(vec))
         e = self._exponent(i, exponent)
-        return _element(self, ((i, e),) if e else ())
+        return GroupElement(self, ((i, e),) if e else ())
 
     def element(self, index: int) -> "GroupElement":
         if self.kind != FINITE:
             raise GroupError("element(index) is only available in the finite backend")
         if not 0 <= _integer(index, "element index", GroupError) < self.rank:
             raise GroupError(f"element index {index} out of range for order {self.rank}")
-        return _element(self, index)
+        return GroupElement(self, index)
 
     # -- literals ----------------------------------------------------------
 
@@ -142,7 +142,7 @@ class GroupSpec:
     def _parse(self, literal: Literal) -> "GroupElement":
         if self.kind == FINITE:
             if isinstance(literal, str) and self.names and literal in self.names:
-                return _element(self, self.names.index(literal))
+                return GroupElement(self, self.names.index(literal))
             return self.element(_int_text(literal) if isinstance(literal, str)
                                 else _integer(literal))
         if self.kind == FREE:
@@ -156,7 +156,7 @@ class GroupSpec:
             vec = [_integer(x) for x in vec]
             if len(vec) != self.rank:
                 raise GroupError(f"expected a vector of length {self.rank}, got {vec}")
-            return _element(self, tuple(vec))
+            return GroupElement(self, tuple(vec))
         syllables = json.loads(literal) if isinstance(literal, str) else list(literal)
         return self.product(self.generator(_integer(f), _integer(e)) for f, e in syllables)
 
@@ -224,10 +224,10 @@ class GroupSpec:
         self._claim(a)
         if self.kind == FINITE:
             row = self.table[a.data]
-            return _element(self, row.index(0))
+            return GroupElement(self, row.index(0))
         if self.kind == FREE_ABELIAN:
-            return _element(self, tuple(-x for x in a.data))
-        return _element(self, tuple((g, self._exponent(g, -e)) for g, e in reversed(a.data)))
+            return GroupElement(self, tuple(-x for x in a.data))
+        return GroupElement(self, tuple((g, self._exponent(g, -e)) for g, e in reversed(a.data)))
 
     # -- words (free groups and free products of cyclic groups) -------------
 
@@ -262,11 +262,10 @@ class GroupElement:
     """An element in normal form; equality and hashing are structural.
 
     spec and data are read-only: assigning or deleting either raises
-    dataclasses.FrozenInstanceError (an AttributeError), as on the frozen
-    dataclass this class replaces, and repr, equality and hash read as
-    they did there.  The hash is hash((spec, data)), computed on first use
-    and kept; equality tests identity first, then data and spec.  Products
-    are built by _element, without a Python-level __init__."""
+    dataclasses.FrozenInstanceError, an AttributeError.  The hash is
+    hash((spec, data)), computed on first use and kept; equality tests
+    identity first, then data and spec.  Products are built by _element,
+    without a Python-level __init__."""
 
     __slots__ = ("spec", "data", "_hash")
     __match_args__ = ("spec", "data")
