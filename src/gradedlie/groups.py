@@ -273,6 +273,7 @@ class GroupElement:
     def __init__(self, spec: GroupSpec, data: Union[int, tuple]):
         _set_spec(self, spec)
         _set_data(self, data)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -292,12 +293,11 @@ class GroupElement:
         return self.data == other.data and (self.spec is other.spec or self.spec == other.spec)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = hash((self.spec, self.data))
             _set_hash(self, h)
-            return h
+        return h
 
     def __repr__(self) -> str:
         return f"{self.__class__.__qualname__}(spec={self.spec!r}, data={self.data!r})"
@@ -332,6 +332,7 @@ def _element(spec: GroupSpec, data: Union[int, tuple], _new=object.__new__) -> G
     e = _new(GroupElement)
     _set_spec(e, spec)
     _set_data(e, data)
+    _set_hash(e, None)
     return e
 
 
