@@ -50,10 +50,32 @@ class FreeMonomialSpace:
         return len(self.words)
 
 
+def _clique_words(alphabet: GradedAlphabet, length: int) -> List[Word]:
+    """The words of one length whose letters pairwise commute, in
+    lexicographic order.
+
+    Each length is grown from the one before along the commuting-letter
+    graph: a word carries, in increasing order, the letters that commute
+    with each of its letters, its children append them in that order, and
+    a child carries those of them that commute with the appended letter.
+    When every pair of letters commutes (the classical case), every word
+    qualifies."""
+    n, friends = alphabet.size, alphabet._commuting
+    if all(len(f) == n for f in friends):
+        return list(product(range(n), repeat=length))
+    if not length:
+        return [()]
+    level: List[Tuple[Word, Tuple[int, ...]]] = [((), tuple(range(n)))]
+    for _ in range(length - 1):
+        level = [(word + (b,), tuple(filter(friends[b].__contains__, allowed)))
+                 for word, allowed in level for b in allowed]
+    # the words of the last length have no children, so carry no letters
+    return [word + (b,) for word, allowed in level for b in allowed]
+
+
 def free_monomial_basis(alphabet: GradedAlphabet, length: int) -> FreeMonomialSpace:
     _check_length(length, 0, "length")
-    words = [w for w in product(range(alphabet.size), repeat=length)
-             if alphabet.word_is_gas(w)]
+    words = _clique_words(alphabet, length)
     return FreeMonomialSpace(length, words, {w: p for p, w in enumerate(words)})
 
 
@@ -110,8 +132,8 @@ def lyndon_basis(alphabet: GradedAlphabet, max_len: int) -> List[LyndonElement]:
     _check_length(max_len, 1, "max_len")
     out: List[LyndonElement] = []
     for length in range(1, max_len + 1):
-        for word in product(range(alphabet.size), repeat=length):
-            if not is_lyndon(word) or not alphabet.word_is_gas(word):
+        for word in _clique_words(alphabet, length):
+            if not is_lyndon(word):
                 continue
             expansion = standard_bracketing(word)
             # every monomial shares the word's letter multiset, so the

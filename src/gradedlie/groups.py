@@ -19,6 +19,7 @@ import json
 import re
 from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -55,7 +56,10 @@ class GroupSpec:
     exponent) syllables, exponents taken modulo the factor order if any.
 
     The hash leaves out the table and names (equality still compares them),
-    so hashing an element does not hash its group's Cayley table.
+    so hashing an element does not hash its group's Cayley table.  It is
+    computed on first use and kept on the spec, and pickling rebuilds the
+    spec from its fields, so no kept hash crosses processes (the hash of the
+    str kind differs between them).
     """
 
     kind: str
@@ -64,10 +68,25 @@ class GroupSpec:
     rank: int = 0
     orders: tuple = ()
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.rank, self.orders))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (GroupSpec, (self.kind, self.table, self.names, self.rank, self.orders))
+
     @staticmethod
     def finite(table: Sequence[Sequence[int]], names: Optional[Sequence[str]] = None) -> "GroupSpec":
-        tbl = tuple(tuple(_integer(x, f"Cayley table row {r}", GroupError)
-                          for x in row) for r, row in enumerate(table))
+        tbl = tuple(map(tuple, table))
+        for r, row in enumerate(tbl):
+            # one type test per row; the entries of a row that fails it are
+            # checked one by one, so the message names the first non-integer
+            if not set(map(type, row)) <= {int}:
+                for x in row:
+                    _integer(x, f"Cayley table row {r}", GroupError)
         nm = tuple(names) if names is not None else None
         _check_cayley_table(tbl, nm)
         return GroupSpec(kind=FINITE, table=tbl, names=nm, rank=len(tbl))

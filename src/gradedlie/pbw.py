@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .liealg import (GradedAlphabet, GradedLieAlgebra, LieAlgebraError, _check_basis_indices,
                      _check_indices, _coefficient)
@@ -146,21 +146,45 @@ def su_mul(alg: GradedLieAlgebra, x: SUElement, y: SUElement) -> SUElement:
     return _straighten(alg, _concat(x.terms, y.terms))
 
 
-def _sorted_monomials(alg: GradedLieAlgebra, max_len: int,
-                      keep: Callable[[Monomial], bool]) -> List[Monomial]:
-    """The sorted monomials of length <= max_len that keep accepts, ordered
-    by length then lexicographically."""
+def _sorted_monomials(alg: GradedLieAlgebra, max_len: int, clique: bool) -> List[Monomial]:
+    """The sorted monomials of length <= max_len whose letters pairwise
+    commute (clique) or whose adjacent letters commute, ordered by length
+    then lexicographically.
+
+    Each length is grown from the one before along the commuting-letter
+    graph: a monomial carries, in increasing order, the letters b >= its
+    last letter that may follow it, and its children append them in that
+    order, so each length stays lexicographic.  A child may be followed by
+    the letters >= b that commute with b and, for a clique, also with every
+    earlier letter: those its parent allowed.  When every pair of letters
+    commutes, both rules keep every sorted monomial (the classical case)."""
     _check_indices("max_len", max_len)
     if max_len < 0:
         raise LieAlgebraError("max_len must be >= 0")
-    return [mono for length in range(max_len + 1)
-            for mono in combinations_with_replacement(range(alg.n), length) if keep(mono)]
+    n, friends = alg.n, alg._commuting
+    if all(len(f) == n for f in friends):
+        return [mono for length in range(max_len + 1)
+                for mono in combinations_with_replacement(range(n), length)]
+    up = [tuple(c for c in range(b, n) if c in friends[b]) for b in range(n)]
+    level: List[Tuple[Monomial, Tuple[int, ...]]] = [((), tuple(range(n)))]
+    out: List[Monomial] = [()]
+    for _ in range(max_len - 1):
+        if clique:
+            level = [(mono + (b,), tuple(filter(friends[b].__contains__, allowed[i:])))
+                     for mono, allowed in level for i, b in enumerate(allowed)]
+        else:
+            level = [(mono + (b,), up[b]) for mono, allowed in level for b in allowed]
+        out += [mono for mono, _ in level]
+    if max_len:  # the longest monomials have no children, so carry no letters
+        out += [mono + (b,) for mono, allowed in level for b in allowed]
+    return out
 
 
 def pbw_basis(alg: GradedLieAlgebra, max_len: int) -> List[Monomial]:
     """All sorted monomials of length <= max_len whose degree multiset
-    generates an abelian subgroup, ordered by length then lexicographically."""
-    return _sorted_monomials(alg, max_len, alg.word_is_gas)
+    generates an abelian subgroup, that is whose letters form a clique of
+    the commuting-letter graph; ordered by length then lexicographically."""
+    return _sorted_monomials(alg, max_len, True)
 
 
 def ug_spanning(alg: GradedLieAlgebra, max_len: int) -> List[Monomial]:
@@ -170,8 +194,7 @@ def ug_spanning(alg: GradedLieAlgebra, max_len: int) -> List[Monomial]:
     algebra; no independence claim is made and no arithmetic is offered on
     it.
     """
-    return _sorted_monomials(alg, max_len, lambda mono: all(
-        alg.letters_commute(a, b) for a, b in zip(mono, mono[1:])))
+    return _sorted_monomials(alg, max_len, False)
 
 
 @dataclass

@@ -596,3 +596,28 @@ def test_elements_pickle_without_their_cached_hash():
             assert pickle.dumps(x) == pickle.dumps(spec.parse(text))
             y = pickle.loads(pickle.dumps(x))
             assert y == x and hash(y) == hash(x) and y.spec == spec
+
+
+class IntSub(int):
+    pass
+
+
+@pytest.mark.parametrize("entry, shown", [(1.0, "1.0"), (True, "True"), ("1", "'1'")],
+                         ids=["float", "bool", "str"])
+def test_finite_table_names_the_row_of_a_non_integer_entry(entry, shown):
+    table = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    table[2][1] = entry
+    with pytest.raises(GroupError) as info:
+        GroupSpec.finite(table)
+    assert str(info.value) == f"Cayley table row 2: expected an integer, got {shown}"
+    # int subclasses pass, as for every other integer input
+    assert GroupSpec.finite([[0, IntSub(1)], [1, 0]]).rank == 2
+
+
+def test_spec_hash_is_kept_but_never_pickled():
+    for spec, _, _ in _backends():
+        fresh = pickle.dumps(spec)
+        assert hash(spec) == hash((spec.kind, spec.rank, spec.orders)) == hash(spec)
+        assert pickle.dumps(spec) == fresh
+        copy = pickle.loads(fresh)
+        assert copy == spec and hash(copy) == hash(spec) and repr(copy) == repr(spec)
