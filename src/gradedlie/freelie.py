@@ -4,10 +4,12 @@ The relatively free associative algebra on a degree-assigned alphabet has the
 words with commuting degree multisets as a homogeneous basis; its Lie
 subalgebra generated by the letters is free, with basis the standard
 bracketings of Lyndon words whose letter degrees commute.  This module
-enumerates both bases, certifies the bounded-degree Witt statement from the
+enumerates both bases, growing the words whose letters pairwise commute one
+letter at a time along the commuting-letter graph (every word, when all
+letters commute), certifies the bounded-degree Witt statement from the
 Lyndon words alone (each element is homogeneous and leads with its own word,
 so a non-increasing product leads with its words concatenated and none is
-expanded), and verifies the free-abelian degree lift.
+expanded), and verifies the free-abelian degree lift on every word.
 """
 
 from __future__ import annotations

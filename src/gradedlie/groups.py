@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
@@ -63,8 +63,8 @@ class GroupSpec:
     """
 
     kind: str
-    table: Optional[tuple] = field(default=None, hash=False)
-    names: Optional[tuple] = field(default=None, hash=False)
+    table: Optional[tuple] = None
+    names: Optional[tuple] = None
     rank: int = 0
     orders: tuple = ()
 

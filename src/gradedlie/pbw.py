@@ -4,7 +4,9 @@ Elements are exact rational combinations of sorted monomials in the basis
 letters whose degree multisets generate abelian subgroups.  One rewrite
 loop, _straighten, takes raw words to normal form: normalize straightens one
 word and su_mul the concatenated products of two elements' terms.
-pbw_basis and ug_spanning share one enumerator of sorted monomials.
+pbw_basis and ug_spanning share one enumerator of sorted monomials, which
+grows them one letter at a time along the commuting-letter graph and forms
+no monomial it then drops.
 """
 
 from __future__ import annotations
