@@ -1,11 +1,14 @@
 """Graded Lie algebras presented by homogeneous structure constants.
 
-An algebra is a graded alphabet (a finite homogeneous basis with names and
-degrees in a group backend) plus a sparse table of exact rational structure
-constants stored for i < j only, plus the same table read in both orders;
-the diagonal is identically zero.  No other module reads the stored form.
-Validation, the bilinear bracket, the (graded) center, inner derivations and
-the graded-Lie-subspace check on endomorphism spans all live here.
+An algebra is a graded alphabet (alphabet.GradedAlphabet: a finite
+homogeneous basis with names and degrees in a group backend) plus a sparse
+table of exact rational structure constants stored for i < j only, plus the
+same table read in both orders; the diagonal is identically zero.  No other
+module reads the stored form.  Validation, the bilinear bracket, the
+(graded) center, inner derivations and the graded-Lie-subspace check on
+endomorphism spans all live here.  The alphabet's names (GradedAlphabet,
+LieAlgebraError and the index and scalar rules) are importable from here
+too.
 """
 
 from __future__ import annotations
@@ -13,143 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import (Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from itertools import compress
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import linalg, sparse
-from .groups import (GroupElement, GroupSpec, _degree_classes, _integer, _is_integer,
-                     _rational_text, commute)
+from .alphabet import (GradedAlphabet, LieAlgebraError, _check_basis_indices, _check_indices,
+                       _coefficient)
+from .groups import GroupElement, GroupSpec, _degree_classes, commute
 from .linalg import _integer_row
 from .sparse import _accumulate, _sparse_add, _sparse_scale
 
 LieVector = Dict[int, Fraction]
 
 
-class LieAlgebraError(ValueError):
-    """Malformed algebra data or an out-of-range basis index."""
-
-
 class GradedSpanError(LieAlgebraError):
     """An endomorphism violates its declared degree or block structure."""
-
-
-class GradedAlphabet:
-    """Finitely many letters (basis elements or variables) with names and
-    degrees in one group.  Words are sequences of letter indices.
-
-    Which letters have commuting degrees is a table built on first use from
-    one commute call per ordered pair of distinct degrees.  Equality is
-    identity, so two algebras never compare equal by their letters alone.
-    """
-
-    def __init__(self, group: GroupSpec, names: Optional[Sequence[str]],
-                 degrees: Sequence[GroupElement]):
-        self.group = group
-        self.degrees = tuple(degrees)
-        n = len(self.degrees)
-        for d in self.degrees:
-            if d.spec != group:
-                raise LieAlgebraError("basis degree from a different group backend")
-        if names is None:
-            names = tuple(f"e{i}" for i in range(n))
-        else:
-            names = tuple(names)
-            if len(names) != n:
-                raise LieAlgebraError(f"{len(names)} names for {n} basis elements")
-        self.names = names
-
-    @staticmethod
-    def build(group: GroupSpec,
-              variables: Sequence[Tuple[str, GroupElement]]) -> "GradedAlphabet":
-        return GradedAlphabet(group, [n for n, _ in variables], [d for _, d in variables])
-
-    @staticmethod
-    def from_algebra(alg: "GradedAlphabet") -> "GradedAlphabet":
-        """An algebra's basis as an alphabet: the algebra itself."""
-        return alg
-
-    @property
-    def n(self) -> int:
-        return len(self.degrees)
-
-    size = n
-
-    def degree(self, i: int) -> GroupElement:
-        return self.degrees[i]
-
-    def name(self, i: int) -> str:
-        return self.names[i]
-
-    @cached_property
-    def _commuting(self) -> Tuple[FrozenSet[int], ...]:
-        """Letter i -> the letters whose degree commutes with deg i."""
-        classes = _degree_classes(self.degrees)
-        table: List[FrozenSet[int]] = [frozenset()] * self.n
-        for d, members in classes:
-            friends = frozenset(j for e, others in classes if commute(d, e) for j in others)
-            for i in members:
-                table[i] = friends
-        return tuple(table)
-
-    @cached_property
-    def _degree_index(self) -> Tuple[Dict[GroupElement, int], Tuple[int, ...]]:
-        """The distinct degrees, each mapped to its position in first-appearance
-        order, and each letter's position among them."""
-        index: Dict[GroupElement, int] = {}
-        for d in self.degrees:
-            index.setdefault(d, len(index))
-        return index, tuple(index[d] for d in self.degrees)
-
-    def letters_commute(self, i: int, j: int) -> bool:
-        return j in self._commuting[i]
-
-    def word_name(self, word: Sequence[int]) -> str:
-        return " ".join(self.names[i] for i in word) if word else "1"
-
-    def word_degree(self, word: Sequence[int]) -> GroupElement:
-        """Ordered product of the letter degrees."""
-        return self.group.product(self.degrees[i] for i in word)
-
-    def word_is_gas(self, word: Sequence[int]) -> bool:
-        """True iff the degree multiset of the word generates an abelian
-        subgroup, that is iff its letters pairwise commute."""
-        letters = set(word)
-        table = self._commuting
-        for i in letters:
-            if not letters <= table[i]:
-                return False
-        return True
-
-
-def _check_indices(what: str, *indices) -> None:
-    """Indices (and lengths) are integers by groups._integer; a float or a
-    bool is refused, not coerced."""
-    for x in indices:
-        _integer(x, what, LieAlgebraError)
-
-
-def _coefficient(c) -> Fraction:
-    """An exact scalar from an integer, a Fraction or a string; a float or a
-    bool is refused, not converted.  A string is read by the grammar of
-    groups._rational_text, the one every exact-scalar entry of the library
-    follows.  Structure constants, EndoMatrix entries, scalars of vectors
-    and of SU(L), and both file loaders read them here."""
-    if isinstance(c, str):
-        value = _rational_text(c)
-        if value is None:
-            raise LieAlgebraError(f"coefficient {c!r} is not a rational number")
-        return value
-    if not (_is_integer(c) or isinstance(c, Fraction)):
-        raise LieAlgebraError(f"coefficient must be an int, a Fraction or a string, got {c!r}")
-    return Fraction(c)
-
-
-def _check_basis_indices(n: int, *indices) -> None:
-    """Basis indices are integers (see _check_indices) in range(n)."""
-    _check_indices("basis index", *indices)
-    for i in indices:
-        if not 0 <= i < n:
-            raise LieAlgebraError(f"basis index {i} out of range")
 
 
 class GradedLieAlgebra(GradedAlphabet):
@@ -200,6 +81,16 @@ class GradedLieAlgebra(GradedAlphabet):
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise LieAlgebraError(f"basis index out of range: ({i},{j})")
         return list(self.ordered_brackets.get((i, j), ()))
+
+    @cached_property
+    def _support_products(self) -> Dict[Tuple[int, int], Optional[int]]:
+        """The ordered pairs (p, q) of distinct degrees, by their positions in
+        _degree_index, whose components have a nonzero bracket, sorted; each
+        maps to the position of deg_p * deg_q, None if no letter has it."""
+        index, position = self._degree_index
+        degrees = list(index)
+        pairs = sorted({(position[i], position[j]) for i, j in self.ordered_brackets})
+        return {(p, q): index.get(degrees[p] * degrees[q]) for p, q in pairs}
 
     def components(self) -> List[Tuple[GroupElement, List[int]]]:
         """Homogeneous components as (degree, basis indices), in first
@@ -454,27 +345,40 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     vanish; otherwise a nonzero commutator must lie in the span of the listed
     matrices of the product degree.  The first offending pair is the witness.
     Every matrix passes check_block_invariant first, read on its nonzero
-    entries.  Each matrix is scaled to integers once (times the lcm of its
-    denominators), which changes neither answer, and held as sparse rows;
-    a commutator is a sparse product, keyed by the flat index r*n + c.  The
-    matrices of one degree are brought to a sparse echelon basis once per
-    call, when a commutator first lands at that degree, and a commutator is
-    in their span iff reducing it by that basis leaves nothing.
+    entries.  Each matrix is scaled to integers once (its nonzero entries
+    times the lcm of their denominators), which changes neither answer, and
+    held as sparse rows; a commutator is a sparse product, keyed by the
+    flat index r*n + c.  The commute test and the product of two declared
+    degrees are formed once per pair of distinct degrees, when a nonzero
+    commutator first meets it.  The matrices of one degree are brought to a
+    sparse echelon basis once per call, when a commutator first lands at
+    that degree, and a commutator is in their span iff reducing it by that
+    basis leaves nothing.
     """
     n = alg.n
     flats, ints = [], []
     for mat in mats:
         who = _check_block_shape(alg, mat)
-        flat = _integer_row(mat.flatten())
-        rows = [{c: x for c, x in enumerate(flat[r:r + n]) if x} for r in range(0, n * n, n)]
-        _check_block_entries(alg, mat, who, [(r, c) for r, row in enumerate(rows) for c in row])
-        flats.append({p: x for p, x in enumerate(flat) if x})
+        flat = mat.flatten()
+        if not set(map(type, flat)) <= {int, Fraction}:
+            flat = _integer_row(flat)  # reads the other exact scalars, refuses the rest
+        cells = list(compress(range(n * n), flat))
+        _check_block_entries(alg, mat, who, [divmod(p, n) for p in cells])
+        flat = dict(zip(cells, _integer_row([flat[p] for p in cells])))
+        rows: List[Dict[int, int]] = [{} for _ in range(n)]
+        for p, x in flat.items():
+            rows[p // n][p % n] = x
+        flats.append(flat)
         ints.append(rows)
-    pools = {d: [flats[i] for i in idxs] for d, idxs in _degree_classes([m.degree for m in mats])}
-    bases: Dict[GroupElement, list] = {}
+    classes = _degree_classes([m.degree for m in mats])
+    where = {d: t for t, (d, _) in enumerate(classes)}
+    cls = [where[m.degree] for m in mats]
+    # unordered pair of degree classes -> class of their product (-1 if no
+    # matrix has it), or None if the degrees do not commute
+    targets: Dict[Tuple[int, int], Optional[int]] = {}
+    bases: Dict[int, list] = {}
     for i1 in range(len(mats)):
         for i2 in range(i1 + 1, len(mats)):
-            u, v = mats[i1], mats[i2]
             comm: Dict[int, int] = {}
             for a, b, sign in ((ints[i1], ints[i2], 1), (ints[i2], ints[i1], -1)):
                 for r, row in enumerate(a):
@@ -484,18 +388,22 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
                         for c, y in b[k].items():
                             comm[at + c] = comm.get(at + c, 0) + x * y
             comm = {p: x for p, x in comm.items() if x}
-            if not commute(u.degree, v.degree):
-                if comm:
-                    return GradedSpanReport(
-                        False, (i1, i2),
-                        "degrees do not commute but the commutator is nonzero")
-                continue
             if not comm:
                 continue
-            d = u.degree * v.degree
-            basis = bases.get(d)
+            a, b = sorted((cls[i1], cls[i2]))
+            if (a, b) not in targets:
+                d, e = classes[a][0], classes[b][0]
+                # commuting degrees have one product in either order
+                targets[a, b] = where.get(d * e, -1) if a == b or commute(d, e) else None
+            target = targets[a, b]
+            if target is None:
+                return GradedSpanReport(
+                    False, (i1, i2),
+                    "degrees do not commute but the commutator is nonzero")
+            basis = bases.get(target)
             if basis is None:
-                basis = bases[d] = sparse._sparse_echelon(pools.get(d, []))
+                pool = [flats[i] for i in classes[target][1]] if target >= 0 else []
+                basis = bases[target] = sparse._sparse_echelon(pool)
             if sparse._sparse_reduce(basis, comm):
                 return GradedSpanReport(
                     False, (i1, i2),

@@ -258,7 +258,7 @@ def _mat_mul(a, b):
     """Exact product of two dense matrices of ints or Fractions; zero
     entries of either factor are skipped, so sparse factors cost little."""
     cols = len(b[0]) if b else 0
-    b_nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    b_nonzero = [[(j, row[j]) for j in compress(range(cols), row)] for row in b]
     out = []
     for ai in a:
         oi = [0] * cols
@@ -318,8 +318,11 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
         Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def add_row(dst, src, q):
-        # row_dst += q * row_src; on U^-1, column_src -= q * column_dst
-        M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
+        # row_dst += q * row_src, in place on the nonzero columns of row_src;
+        # on U^-1, column_src -= q * column_dst
+        row, srow = M[dst], M[src]
+        for j in compress(range(n), srow):
+            row[j] += q * srow[j]
         U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
         Ui_t[src] = [a - q * b for a, b in zip(Ui_t[src], Ui_t[dst])]
 
@@ -424,9 +427,16 @@ def _check_smith(orig, D, U, V_t, U_inv, Vi) -> None:
         if any(row[:i]) or any(row[i + 1:]):
             raise ArithmeticError("smith normal form postcondition failed: D not diagonal")
     # column i of V*V^-1 is the sum over k of V^-1[k][i] times column k of V;
-    # it is column i of I when its entry i is 1 and every other entry is 0
+    # it is column i of I when its entry i is 1 and every other entry is 0.
+    # A unit row k of V^-1 adds column k of V to column k alone, a copy while
+    # that is still empty; the rows are read last first, since the unit rows
+    # of a wide relation matrix's V^-1 are its last
     cols: List[dict] = [{} for _ in range(n)]
-    for row, col_k in zip(Vi, V_t):
+    for k in reversed(range(n)):
+        row, col_k = Vi[k], V_t[k]
+        if len(row) == 1 and row.get(k) == 1 and not cols[k]:
+            cols[k] = dict(col_k)
+            continue
         col_k = col_k.items()
         for i, x in row.items():
             col = cols[i]

@@ -113,12 +113,19 @@ def _straighten(alg: GradedLieAlgebra, words: Dict[Monomial, Fraction]) -> SUEle
     each step lowers (length, inversion count) lexicographically; equal
     adjacent letters are never swapped.
     """
-    n = alg.n
-    for word in words:
-        for i in word:
+    n, table = alg.n, alg._commuting
+    pending: Dict[Monomial, Fraction] = {}
+    for w, c in words.items():
+        for i in w:
             if type(i) is not int or not 0 <= i < n:
-                _check_basis_indices(n, *word)
-    pending = {w: c for w, c in words.items() if c != 0 and alg.word_is_gas(w)}
+                _check_basis_indices(n, *w)
+        if c:  # kept iff its letters pairwise commute, as word_is_gas decides
+            letters = set(w)
+            for i in letters:
+                if not letters <= table[i]:
+                    break
+            else:
+                pending[w] = c
     result: Dict[Monomial, Fraction] = {}
     while pending:
         w = next(iter(pending))
@@ -132,7 +139,7 @@ def _straighten(alg: GradedLieAlgebra, words: Dict[Monomial, Fraction]) -> SUEle
         # e_b e_a = e_a e_b + [e_b, e_a]
         for k, alpha in alg.ordered_brackets.get((b, a), ()):
             _accumulate(pending, w[:t] + (k,) + w[t + 2:], c * alpha)
-    out = SUElement()
+    out = SUElement.__new__(SUElement)  # result holds no zero: no need to re-read it
     out.terms = result
     return out
 
@@ -225,7 +232,7 @@ def embed_check(alg: GradedLieAlgebra) -> EmbedReport:
     failures = []
     for i in range(alg.n):
         for j in range(i + 1, alg.n):
-            lhs = _straighten(alg, {(i, j): 1, (j, i): -1})
+            lhs = _straighten(alg, {(j, i): -1, (i, j): 1})
             if lhs.terms != {(k,): c for k, c in alg.ordered_brackets.get((i, j), ())}:
                 failures += [(i, j), (j, i)]
     return EmbedReport(independent=True, pair_failures=sorted(failures))

@@ -23,7 +23,7 @@ class CoarseningError(ValueError):
 
 def support(alg: GradedLieAlgebra) -> List[GroupElement]:
     """Deduplicated basis degrees, in first-appearance order."""
-    return [deg for deg, _ in alg.components()]
+    return list(alg._degree_index[0])
 
 
 @dataclass
@@ -36,25 +36,22 @@ class Presentation:
 
 
 def universal_presentation(alg: GradedLieAlgebra) -> Presentation:
-    """One relation per ordered support pair (s1, s2) with a nonzero bracket
-    between the components; both orders appear, duplicates and all.
+    """One relation per ordered pair (s1, s2) of support degrees whose
+    components have a nonzero bracket, in the order of the support; both
+    orders of a pair appear, and a pair of components with many nonzero
+    brackets gives one relation.
 
-    The pairs are read off ordered_brackets, whose keys are exactly the
-    nonzero ordered pairs, and emitted in the order of the support."""
-    comps = alg.components()
-    labels = [alg.group.format(deg) for deg, _ in comps]
-    label_of = {deg: labels[p] for p, (deg, _) in enumerate(comps)}
-    comp_of = {i: p for p, (_, idxs) in enumerate(comps) for i in idxs}
-    pairs = {(comp_of[i], comp_of[j]) for i, j in alg.ordered_brackets}
+    The pairs and their products are the algebra's _support_products, read
+    off ordered_brackets once per algebra; only the labels are formed here."""
+    supp = support(alg)
+    labels = [alg.group.format(deg) for deg in supp]
     relations: List[Tuple[str, str, str]] = []
-    for a, b in sorted(pairs):
-        prod = comps[a][0] * comps[b][0]
-        label = label_of.get(prod)
-        if label is None:
+    for (a, b), p in alg._support_products.items():
+        if p is None:
             raise LieAlgebraError(
-                f"bracket lands outside the support at degree {alg.group.format(prod)}; "
-                "validate the algebra first")
-        relations.append((labels[a], labels[b], label))
+                f"bracket lands outside the support at degree "
+                f"{alg.group.format(supp[a] * supp[b])}; validate the algebra first")
+        relations.append((labels[a], labels[b], labels[p]))
     return Presentation(labels, relations)
 
 
@@ -79,7 +76,10 @@ class AbelianizationData:
         return " x ".join(parts) if parts else "1"
 
     def image_of(self, label: str) -> Tuple[int, ...]:
-        return self.images[self.generators.index(label)]
+        try:
+            return self.images[self.generators.index(label)]
+        except ValueError:
+            raise LieAlgebraError(f"no generator {label!r}") from None
 
 
 def abelianize(pres: Presentation) -> AbelianizationData:
@@ -90,13 +90,19 @@ def abelianize(pres: Presentation) -> AbelianizationData:
     gens = pres.generators
     s = len(gens)
     pos = {g: p for p, g in enumerate(gens)}
+    if len(pos) < s:
+        repeated = next(g for p, g in enumerate(gens) if pos[g] != p)
+        raise LieAlgebraError(f"generator {repeated!r} is listed more than once")
     m = len(pres.relations)
     # columns are relations: N[gen][rel]
     N = [[0] * m for _ in range(s)]
-    for r, (s1, s2, s3) in enumerate(pres.relations):
-        for label in (s1, s2, s3):
+    for r, rel in enumerate(pres.relations):
+        if not isinstance(rel, (tuple, list)) or len(rel) != 3:
+            raise LieAlgebraError(f"relation {r} is not a triple of generator labels: {rel!r}")
+        for label in rel:
             if label not in pos:
-                raise LieAlgebraError(f"relation uses unknown generator {label!r}")
+                raise LieAlgebraError(f"relation {r} uses unknown generator {label!r}")
+        s1, s2, s3 = rel
         N[pos[s1]][r] += 1
         N[pos[s2]][r] += 1
         N[pos[s3]][r] -= 1
@@ -124,11 +130,8 @@ def abelianize(pres: Presentation) -> AbelianizationData:
 
 
 def _check_images(pres: Presentation, data: AbelianizationData) -> None:
-    # every relation must hold additively on the reported images; a label's
-    # image is that of its first generator, as in image_of
-    image: dict = {}
-    for label, img in zip(data.generators, data.images):
-        image.setdefault(label, img)
+    # every relation must hold additively on the reported images
+    image = dict(zip(data.generators, data.images))
     r = data.free_rank
     for s1, s2, s3 in pres.relations:
         a, b, c = image[s1], image[s2], image[s3]

@@ -5,7 +5,9 @@ from conftest import FIXTURES, load
 from test_linalg import _matrix_lie_algebra
 from test_pbw import s5_graded_sum
 
+from gradedlie import unigroup
 from gradedlie.groups import GroupSpec
+from gradedlie.liealg import LieAlgebraError
 from gradedlie.unigroup import (AbelianizationData, CoarseningError,
                                 Presentation, abelianize, coarsening_check,
                                 is_abelian_grading, is_abelian_presentation,
@@ -250,3 +252,53 @@ def test_is_abelian_gl5_pinned():
     for label, image in zip(verdict.data.generators, verdict.data.images):
         vec = gl5.group.parse(label).data
         assert image == tuple(-x for x in vec[1:]), label
+
+
+# -- malformed raw presentations --------------------------------------------------------
+
+@pytest.fixture
+def no_elimination(monkeypatch):
+    """Fail the test if abelianize reaches the Smith form."""
+    def refuse(rows):
+        raise AssertionError("the presentation reached the elimination")
+    monkeypatch.setattr(unigroup, "smith_normal_form", refuse)
+
+
+@pytest.mark.parametrize("pres, message", [
+    (Presentation(["a", "a"], []), "generator 'a' is listed more than once"),
+    (Presentation(["a", "a"], [("a", "a", "a")]), "generator 'a' is listed more than once"),
+    (Presentation(["a", "b", "c", "b"], [("a", "b", "c")]),
+     "generator 'b' is listed more than once"),
+    (Presentation(["a", "b"], [("a", "b", "a"), ("a", "b")]),
+     r"relation 1 is not a triple of generator labels: \('a', 'b'\)"),
+    (Presentation(["a", "b"], [("a", "b", "a", "b")]), "relation 0 is not a triple"),
+    (Presentation(["a", "b"], ["aba"]), "relation 0 is not a triple"),
+    (Presentation(["a", "b"], [7]), "relation 0 is not a triple"),
+    (Presentation(["a", "b"], [("a", "b", "a"), ("a", "c", "b")]),
+     "relation 1 uses unknown generator 'c'"),
+], ids=["repeated, no relations", "repeated, one relation", "repeated later",
+        "pair", "quadruple", "string", "int", "unknown label"])
+def test_malformed_presentation_is_refused_before_elimination(no_elimination, pres, message):
+    for entry in (abelianize, is_abelian_presentation):
+        with pytest.raises(LieAlgebraError, match=message):
+            entry(pres)
+
+
+def test_repeated_generator_label_no_longer_abelianizes(monkeypatch):
+    # it read Z^2 before, and with a relation failed abelianize's postcondition
+    calls = []
+    smith = unigroup.smith_normal_form
+    monkeypatch.setattr(unigroup, "smith_normal_form", lambda rows: calls.append(rows) or smith(rows))
+    with pytest.raises(LieAlgebraError, match="'a'"):
+        abelianize(Presentation(["a", "a"], []))
+    with pytest.raises(LieAlgebraError, match="'a'"):
+        abelianize(Presentation(["a", "a"], [("a", "a", "a")]))
+    assert calls == []
+    assert abelianize(Presentation(["a", "b"], [])).describe() == "Z^2"
+
+
+def test_image_of_an_unknown_label_names_it():
+    data = abelianize(Presentation(["a"], []))
+    assert data.image_of("a") == (1,)
+    with pytest.raises(LieAlgebraError, match="no generator 'b'"):
+        data.image_of("b")
