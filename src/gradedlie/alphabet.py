@@ -3,7 +3,7 @@ group backend, the words over them, and which letters commute.
 
 A Lie algebra's basis is an alphabet (liealg.GradedLieAlgebra adds the
 brackets), and so are the variables of a free graded Lie algebra.  The
-rules every index and exact scalar of the library is read by live here
+rules by which the algebra modules read indices and exact scalars live here
 too, with the error they raise.
 """
 

@@ -364,11 +364,11 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
             flat = _integer_row(flat)  # reads the other exact scalars, refuses the rest
         cells = list(compress(range(n * n), flat))
         _check_block_entries(alg, mat, who, [divmod(p, n) for p in cells])
-        flat = dict(zip(cells, _integer_row([flat[p] for p in cells])))
+        nonzero = dict(zip(cells, _integer_row([flat[p] for p in cells])))
         rows: List[Dict[int, int]] = [{} for _ in range(n)]
-        for p, x in flat.items():
+        for p, x in nonzero.items():
             rows[p // n][p % n] = x
-        flats.append(flat)
+        flats.append(nonzero)
         ints.append(rows)
     classes = _degree_classes([m.degree for m in mats])
     where = {d: t for t, (d, _) in enumerate(classes)}
@@ -390,12 +390,12 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
             comm = {p: x for p, x in comm.items() if x}
             if not comm:
                 continue
-            a, b = sorted((cls[i1], cls[i2]))
-            if (a, b) not in targets:
-                d, e = classes[a][0], classes[b][0]
+            lo, hi = sorted((cls[i1], cls[i2]))
+            if (lo, hi) not in targets:
+                d, e = classes[lo][0], classes[hi][0]
                 # commuting degrees have one product in either order
-                targets[a, b] = where.get(d * e, -1) if a == b or commute(d, e) else None
-            target = targets[a, b]
+                targets[lo, hi] = where.get(d * e, -1) if lo == hi or commute(d, e) else None
+            target = targets[lo, hi]
             if target is None:
                 return GradedSpanReport(
                     False, (i1, i2),

@@ -378,13 +378,20 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithForm:
                             row[j] -= q * row[t]
                     else:
                         Mt[j] -= q * Mt[t]
-                    for acc, src, f in ((V_t[j], V_t[t], -q), (Vi[t], Vi[j], q)):
-                        for k, x in src.items():
-                            y = acc.get(k, 0) + f * x
-                            if y:
-                                acc[k] = y
-                            else:
-                                del acc[k]
+                    acc = V_t[j]
+                    for k, x in V_t[t].items():
+                        y = acc.get(k, 0) - q * x
+                        if y:
+                            acc[k] = y
+                        else:
+                            del acc[k]
+                    acc = Vi[t]
+                    for k, x in Vi[j].items():
+                        y = acc.get(k, 0) + q * x
+                        if y:
+                            acc[k] = y
+                        else:
+                            del acc[k]
                 if Mt[j] != 0:
                     swap_cols(t, j)
                     dirty = True

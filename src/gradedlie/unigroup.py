@@ -99,13 +99,14 @@ def abelianize(pres: Presentation) -> AbelianizationData:
     for r, rel in enumerate(pres.relations):
         if not isinstance(rel, (tuple, list)) or len(rel) != 3:
             raise LieAlgebraError(f"relation {r} is not a triple of generator labels: {rel!r}")
-        for label in rel:
-            if label not in pos:
-                raise LieAlgebraError(f"relation {r} uses unknown generator {label!r}")
-        s1, s2, s3 = rel
-        N[pos[s1]][r] += 1
-        N[pos[s2]][r] += 1
-        N[pos[s3]][r] -= 1
+        try:
+            a, b, c = pos[rel[0]], pos[rel[1]], pos[rel[2]]
+        except KeyError as exc:
+            raise LieAlgebraError(
+                f"relation {r} uses unknown generator {exc.args[0]!r}") from None
+        N[a][r] += 1
+        N[b][r] += 1
+        N[c][r] -= 1
 
     snf = smith_normal_form(N)
     nonzero = [d for d in snf.diag if d != 0]
