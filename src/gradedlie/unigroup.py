@@ -28,8 +28,8 @@ def support(alg: GradedLieAlgebra) -> List[GroupElement]:
 
 @dataclass
 class Presentation:
-    """Generators labeled by support normal forms; relations are label
-    triples (s1, s2, s3) meaning s1*s2 = s3."""
+    """Generators labeled by support normal forms, each label once;
+    relations are label triples (s1, s2, s3) meaning s1*s2 = s3."""
 
     generators: List[str]
     relations: List[Tuple[str, str, str]]
@@ -86,7 +86,10 @@ def abelianize(pres: Presentation) -> AbelianizationData:
     """Write each relation additively as s1 + s2 - s3 = 0, Smith-reduce the
     relation lattice, and read off the invariant factors and the generator
     images.  The free block of the images is Hermite-normalized so equal
-    inputs give identical output."""
+    inputs give identical output.  A repeated generator label, a relation
+    that is not a triple and a relation with an unknown label raise
+    LieAlgebraError naming the label or the relation, before any
+    elimination."""
     gens = pres.generators
     s = len(gens)
     pos = {g: p for p, g in enumerate(gens)}
