@@ -284,19 +284,6 @@ def test_malformed_presentation_is_refused_before_elimination(no_elimination, pr
             entry(pres)
 
 
-def test_repeated_generator_label_no_longer_abelianizes(monkeypatch):
-    # it read Z^2 before, and with a relation failed abelianize's postcondition
-    calls = []
-    smith = unigroup.smith_normal_form
-    monkeypatch.setattr(unigroup, "smith_normal_form", lambda rows: calls.append(rows) or smith(rows))
-    with pytest.raises(LieAlgebraError, match="'a'"):
-        abelianize(Presentation(["a", "a"], []))
-    with pytest.raises(LieAlgebraError, match="'a'"):
-        abelianize(Presentation(["a", "a"], [("a", "a", "a")]))
-    assert calls == []
-    assert abelianize(Presentation(["a", "b"], [])).describe() == "Z^2"
-
-
 def test_image_of_an_unknown_label_names_it():
     data = abelianize(Presentation(["a"], []))
     assert data.image_of("a") == (1,)
