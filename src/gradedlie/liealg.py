@@ -114,15 +114,20 @@ def vec_scale(c, x: LieVector) -> LieVector:
 
 def bracket(alg: GradedLieAlgebra, x: Mapping[int, Fraction],
             y: Mapping[int, Fraction]) -> LieVector:
-    """Bilinear extension of the basis bracket, read off ordered_brackets."""
+    """Bilinear extension of the basis bracket, read off ordered_brackets; a
+    coefficient other than an int or a Fraction is read by _coefficient."""
     table = alg.ordered_brackets
     out: LieVector = {}
     for i, xi in x.items():
         if type(i) is not int or not 0 <= i < alg.n:
             _check_basis_indices(alg.n, i)
+        if type(xi) is not Fraction and type(xi) is not int:
+            xi = _coefficient(xi)
         for j, yj in y.items():
             if type(j) is not int or not 0 <= j < alg.n:
                 _check_basis_indices(alg.n, j)
+            if type(yj) is not Fraction and type(yj) is not int:
+                yj = _coefficient(yj)
             f = xi * yj
             for k, c in table.get((i, j), ()):
                 _accumulate(out, k, f * c)
@@ -215,10 +220,10 @@ def center(alg: GradedLieAlgebra) -> List[LieVector]:
     returned vector is homogeneous.
 
     A component's equations have one row per basis letter j and target k
-    with [e_i, e_j] = ... + c e_k + ... for some letter i of the component;
-    the rows are read off ordered_brackets and sorted by (j, k).  The null
+    with [e_i, e_j] = ... + c e_k + ... for some letter i of the component,
+    read off ordered_brackets, scaled to integers and held sparse.  The null
     space basis is the canonical one of the reduced row echelon form, so it
-    depends only on the rows' span."""
+    depends only on the rows' span, not on their order."""
     comps = alg.components()
     where = {i: (p, t) for p, (_, idxs) in enumerate(comps) for t, i in enumerate(idxs)}
     rows: List[Dict[Tuple[int, int], Dict[int, Fraction]]] = [{} for _ in comps]
@@ -228,8 +233,8 @@ def center(alg: GradedLieAlgebra) -> List[LieVector]:
             rows[p].setdefault((j, k), {})[t] = c
     out: List[LieVector] = []
     for (_, idxs), eqs in zip(comps, rows):
-        dense = [[row.get(t, 0) for t in range(len(idxs))] for _, row in sorted(eqs.items())]
-        for sol in linalg.nullspace(dense, len(idxs)):
+        ints = [dict(zip(row, _integer_row(list(row.values())))) for row in eqs.values()]
+        for sol in linalg._nullspace(ints, len(idxs)):
             out.append({idxs[t]: c for t, c in enumerate(sol) if c != 0})
     return out
 
@@ -265,10 +270,14 @@ def check_block_invariant(alg: GradedLieAlgebra, mat: EndoMatrix) -> None:
 
 def _check_block_shape(alg: GradedLieAlgebra, mat: EndoMatrix) -> str:
     """The name of mat in messages, once it is known to have a declared
-    degree and n x n entries; raise GradedSpanError otherwise."""
+    degree in the algebra's group and n x n entries; raise GradedSpanError
+    otherwise."""
     who = mat.label or "matrix"
     if mat.degree is None:
         raise GradedSpanError(f"{who} has no declared degree")
+    if not isinstance(mat.degree, GroupElement) or mat.degree.spec != alg.group:
+        raise GradedSpanError(f"{who} has a declared degree that is not an element of the "
+                              "algebra's group")
     if len(mat.rows) != alg.n or any(len(r) != alg.n for r in mat.rows):
         raise GradedSpanError(f"{who} is not {alg.n}x{alg.n}")
     return who
@@ -294,27 +303,22 @@ def inner_derivations(alg: GradedLieAlgebra) -> List[EndoMatrix]:
     linearly independent set.  Column j of ad e_i holds [e_i, e_j], read off
     ordered_brackets; the maps that vanish (no nonzero bracket) are left out.
 
-    The maps are kept greedily in index order.  Independence is decided on
-    the coordinates (k, j) where some map is nonzero, with each map scaled
-    to integers; only the kept maps are made dense."""
+    The maps are kept greedily in index order: a map is kept iff it leaves
+    a remainder on the sparse echelon basis of the maps before it, each map
+    held sparse by its coordinates (k, j) and scaled to integers.  Only the
+    kept maps are made dense."""
     ads: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
     for (i, j), terms in alg.ordered_brackets.items():
         ad_i = ads.setdefault(i, {})
         for k, c in terms:
             ad_i[(k, j)] = c
     order = list(ads)
-    coords = {kj: p for p, kj in enumerate(dict.fromkeys(kj for i in order for kj in ads[i]))}
-    vectors = []
-    for i in order:
-        vec = [0] * len(coords)
-        for kj, x in zip(ads[i], _integer_row(list(ads[i].values()))):
-            vec[coords[kj]] = x
-        vectors.append(vec)
-    kept = linalg.independent_subset(vectors)
+    kept = sparse._sparse_echelon([dict(zip(ad, _integer_row(list(ad.values()))))
+                                   for ad in ads.values()])
     n = alg.n
     zero = Fraction(0)
     out = []
-    for t in kept:
+    for _, _, t in kept:
         i = order[t]
         rows = [[zero] * n for _ in range(n)]
         for (k, j), c in ads[i].items():

@@ -1,15 +1,16 @@
 """Exact linear algebra over the rationals and the integers.
 
-Matrices are dense and small-scale: one fraction-free elimination kernel
-for reduced row echelon forms, ranks, null spaces, solutions, span
-membership and independent subsets (rows are scaled to integers once and
-Fractions are built only for the outputs that need them; each entry point
-checks once that its rows have one length), a zero-skipping matrix product,
-and an integer Smith normal form D = U*M*V.  The elimination entry points
-read every entry by the one exact-scalar rule (an integer, a Fraction, or a
-string in the grammar of groups._rational_text): a float, a bool or any
-other type raises TypeError, and a string outside the grammar ValueError,
-each naming the entry's row and column in the caller's terms.
+Matrices are small-scale.  The rational entry points (reduced row echelon
+forms, ranks, null spaces, solutions, span membership, independent subsets)
+check once that their rows have one length, scale each row to integers once
+and hold it sparse for the one elimination kernel, sparse._sparse_echelon;
+rref, nullspace and solve add one back-substitution pass and build
+Fractions only for their outputs.  Every entry is read by the one
+exact-scalar rule (an integer, a Fraction, or a string in the grammar of
+groups._rational_text): a float, a bool or any other type raises
+TypeError, and a string outside the grammar ValueError, each naming the
+entry's row and column in the caller's terms.  Beside them: a
+zero-skipping matrix product and an integer Smith normal form D = U*M*V.
 
 The Smith form tracks its transforms together with their inverses, the wide
 column transforms V and V^-1 as sparse rows updated in place.  A column
@@ -33,7 +34,8 @@ from fractions import Fraction
 from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
-from .groups import _is_integer, _rational_text
+from .groups import _integer, _is_integer, _rational_text
+from .sparse import _sparse_echelon, _sparse_reduce
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
@@ -83,82 +85,60 @@ def _width(rows: Sequence[Sequence], width: Optional[int] = None, what: str = "r
     return width
 
 
-def _eliminate(rows: Sequence[Sequence], ncols: int,
-               where: str = "row {r}, entry {c}") -> Tuple[List[List[int]], List[int]]:
-    """Fraction-free Gauss-Jordan elimination (in the manner of Bareiss,
-    Math. Comp. 22, 1968), the one kernel behind every entry point below.
-    The rows have ncols entries each; the entry points check that, once.
+def _sparse_rows(rows: Sequence[Sequence], where: str = "row {r}, entry {c}") -> List[dict]:
+    """Each row scaled to integers by _integer_row, as a sparse vector: its
+    nonzero entries by column."""
+    return [{c: x for c, x in enumerate(_integer_row(row, r, where)) if x}
+            for r, row in enumerate(rows)]
 
-    Each row is scaled to integers once.  A row is updated as
-    pv*row - f*pivot_row and divided by the gcd of its entries, so entries
-    stay integers and small.  Returns (rows, pivots): row r is a nonzero
-    multiple of row r of the reduced row echelon form, with its pivot in
-    column pivots[r] and zeros in every other pivot column; the rows below
-    the rank are dropped."""
-    # a zero row holds no pivot, so it is skipped without being scaled once
-    # its entries are known to be exact scalars
-    m = []
-    for r, row in enumerate(rows):
-        if any(row):
-            m.append(_integer_row(row, r, where))
-        elif not set(map(type, row)) <= {int, Fraction}:
-            _integer_row(row, r, where)
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == len(m):
-            break
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        pv = prow[c]
-        # rows are often sparse: pv*row - f*prow touches row only where prow
-        # is nonzero, after scaling it by pv, and when pv divides f the
-        # multiple row - (f/pv)*prow needs no scaling
-        support = [(j, b) for j, b in enumerate(prow) if b]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                if f % pv:
-                    row = [pv * a for a in row]
-                else:
-                    f //= pv
-                for j, b in support:
-                    row[j] -= f * b
-                g = math.gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+
+def _eliminate(rows: Sequence[dict]) -> Tuple[List[dict], List[int]]:
+    """Fraction-free reduced row echelon form of sparse integer rows: (rows,
+    pivots), row r a nonzero multiple of row r of the form, with its pivot
+    at pivots[r] (ascending); the rows below the rank are dropped.  A row of
+    the sparse echelon basis holds no entry left of its pivot, so one
+    back-substitution pass, last pivot first, clears each pivot from the
+    rows above it."""
+    done: list = []
+    for p, row, t in sorted(_sparse_echelon(rows), reverse=True):
+        done.insert(0, (p, _sparse_reduce(done, row), t))
+    return [row for _, row, _ in done], [p for p, _, _ in done]
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
     """Reduced row echelon form; returns (matrix, pivot column indices)."""
     ncols = _width(rows)
-    m, pivots = _eliminate(rows, ncols)
-    out = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    m, pivots = _eliminate(_sparse_rows(rows))
+    out = [[Fraction(row.get(c, 0), row[p]) for c in range(ncols)] for row, p in zip(m, pivots)]
     out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(m))]
     return out, pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(_eliminate(rows, _width(rows))[1])
+    _width(rows)
+    return len(_sparse_echelon(_sparse_rows(rows)))
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[Vector]:
-    """Canonical basis of {x : A x = 0}, one vector per free column."""
+    """Canonical basis of {x : A x = 0}, one vector per free column.  ncols
+    is an integer (groups._integer), and a negative one raises ValueError."""
+    if _integer(ncols, "ncols") < 0:
+        raise ValueError(f"ncols must not be negative, got {ncols}")
     _width(rows, ncols)
-    m, pivots = _eliminate(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
+    return _nullspace(_sparse_rows(rows), ncols)
+
+
+def _nullspace(rows: Sequence[dict], ncols: int) -> List[Vector]:
+    """nullspace on sparse integer rows with keys in range(ncols)."""
+    m, pivots = _eliminate(rows)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(v)
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for row, pc in zip(m, pivots):
+                v[pc] = Fraction(-row.get(fc, 0), row[pc])
+            basis.append(v)
     return basis
 
 
@@ -174,12 +154,12 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
 def _solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int,
            where: str = "row {r}, entry {c}") -> Optional[Vector]:
     """solve on rows of ncols entries each and one rhs entry per row."""
-    m, pivots = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1, where)
+    m, pivots = _eliminate(_sparse_rows([list(row) + [b] for row, b in zip(rows, rhs)], where))
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
     for row, pc in zip(m, pivots):
-        x[pc] = Fraction(row[ncols], row[pc])
+        x[pc] = Fraction(row.get(ncols, 0), row[pc])
     return x
 
 
@@ -195,9 +175,9 @@ def in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
 
 def independent_subset(vectors: Sequence[Sequence]) -> List[int]:
     """Indices of the greedy maximal linearly independent subset, in order:
-    the pivot columns of the matrix whose columns are the vectors."""
+    the vectors that leave a remainder after reduction by those before."""
     _width(vectors, what="vector")
-    return _eliminate(list(zip(*vectors)), len(vectors), "vector {c}, entry {r}")[1]
+    return [t for _, _, t in _sparse_echelon(_sparse_rows(vectors, "vector {r}, entry {c}"))]
 
 
 # -- integer matrices ---------------------------------------------------------

@@ -2,8 +2,8 @@
 
 One accumulator adds into them in place, so no zero is ever stored; sparse
 combinations of words (tuples) share one product; and a fraction-free
-echelon basis of sparse integer vectors decides span membership by
-reduction, with no dense row built.
+echelon basis of sparse integer vectors, the library's one elimination
+kernel, decides span membership by reduction and names the vectors it keeps.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ def _sparse_scale(c, x: dict) -> dict:
     return {key: c * v for key, v in x.items()} if c != 0 else {}
 
 
-def _sparse_reduce(basis: Sequence[Tuple[object, dict]], vec: dict) -> dict:
+def _sparse_reduce(basis: Sequence[Tuple[object, dict, int]], vec: dict) -> dict:
     """vec, times a nonzero integer, minus the integer combination of the
     basis rows that clears their pivots; empty iff vec is in their span.
-    basis is _sparse_echelon's: (pivot, row) pairs of integer rows, each
-    row zero at the pivots of the rows before it, so clearing the pivots
-    in order leaves each one cleared."""
+    basis is _sparse_echelon's: (pivot, row, source) triples of integer
+    rows, each row zero at the pivots of the rows before it, so clearing the
+    pivots in order leaves each one cleared."""
     v = dict(vec)
-    for p, row in basis:
+    for p, row, _ in basis:
         f = v.get(p)
         if f:
             pv = row[p]
@@ -56,19 +56,20 @@ def _sparse_reduce(basis: Sequence[Tuple[object, dict]], vec: dict) -> dict:
     return v
 
 
-def _sparse_echelon(vectors: Sequence[dict]) -> List[Tuple[object, dict]]:
+def _sparse_echelon(vectors: Sequence[dict]) -> List[Tuple[object, dict, int]]:
     """A fraction-free echelon basis of the span of sparse integer vectors,
-    as (pivot, row) pairs for _sparse_reduce: each vector is reduced by the
-    rows before it and, if anything is left, kept with its least key as
-    pivot, divided by the gcd of its entries."""
-    basis: List[Tuple[object, dict]] = []
-    for vec in vectors:
+    as (pivot, row, source) triples for _sparse_reduce: each vector is
+    reduced by the rows before it and, if anything is left, kept with its
+    least key as pivot, divided by the gcd of its entries; source is its
+    position, so the sources are a greedy maximal independent subset."""
+    basis: List[Tuple[object, dict, int]] = []
+    for t, vec in enumerate(vectors):
         v = _sparse_reduce(basis, vec)
         if v:
             g = math.gcd(*v.values())
             if g > 1:
                 v = {k: x // g for k, x in v.items()}
-            basis.append((min(v), v))
+            basis.append((min(v), v, t))
     return basis
 
 

@@ -18,7 +18,7 @@ from .linalg import row_hnf, smith_normal_form
 
 
 class CoarseningError(ValueError):
-    """The relabeling is not a total map on the fine support."""
+    """The relabeling is not a total map from the support to group elements."""
 
 
 def support(alg: GradedLieAlgebra) -> List[GroupElement]:
@@ -203,11 +203,12 @@ def coarsening_check(alg: GradedLieAlgebra,
                      relabel: Mapping[GroupElement, GroupElement]) -> CoarseningReport:
     """Verify that merging components along the relabeling yields a valid
     grading: for every nonzero basis bracket the coarse labels must satisfy
-    p(deg e_i) * p(deg e_j) = p(deg e_i * deg e_j).  Non-total relabelings
-    raise CoarseningError, and a bracket whose degree product the
-    relabeling does not cover (a product outside the support, so an algebra
-    that does not validate) LieAlgebraError; compatibility failures are
-    reported with the offending pair.
+    p(deg e_i) * p(deg e_j) = p(deg e_i * deg e_j).  A relabeling that is
+    not total or has a label that is not a group element raises
+    CoarseningError, and a bracket whose degree product the relabeling does
+    not cover (a product outside the support, so an algebra that does not
+    validate) LieAlgebraError; compatibility failures are reported with the
+    offending pair.
 
     The pairs are the keys of ordered_brackets, which are exactly the
     nonzero ordered pairs in row-major order, so the witness is the first
@@ -217,6 +218,9 @@ def coarsening_check(alg: GradedLieAlgebra,
         if deg not in relabel:
             raise CoarseningError(
                 f"relabeling misses support degree {alg.group.format(deg)}")
+        if not isinstance(relabel[deg], GroupElement):
+            raise CoarseningError(f"coarse label of {alg.group.format(deg)} is not a group "
+                                  f"element: {relabel[deg]!r}")
     coarse_specs = {relabel[deg].spec for deg in supp}
     if len(coarse_specs) > 1:
         raise CoarseningError("coarse labels live in different groups")

@@ -9,8 +9,8 @@ import gradedlie as gl
 from gradedlie.groups import GroupSpec, commute
 from gradedlie.liealg import (EndoMatrix, GradedLieAlgebra, GradedSpanError,
                               LieAlgebraError, basis_vector, bracket, center,
-                              inner_derivations, is_graded_lie_subspace,
-                              validate, vec_add, vec_scale)
+                              check_block_invariant, inner_derivations,
+                              is_graded_lie_subspace, validate, vec_add, vec_scale)
 from gradedlie.linalg import nullspace
 
 from conftest import FIXTURES
@@ -364,6 +364,22 @@ def test_bracket_refuses_non_integer_indices(sl2, x, y):
         bracket(sl2, x, y)
 
 
+@pytest.mark.parametrize("x, y", [({0: 1.5}, {1: 1}), ({0: True}, {1: 1}),
+                                  ({0: 1}, {1: 0.0}), ({0: 1}, {1: False})])
+def test_bracket_reads_coefficients_by_the_exact_scalar_rule(sl2, x, y):
+    # bracket(sl2, {0: 1.5}, {1: 1}) returned {0: -3.0}, and True was read as 1
+    with pytest.raises(LieAlgebraError, match="coefficient must be an int, a Fraction or a string"):
+        bracket(sl2, x, y)
+
+
+def test_bracket_reads_strings_and_int_subclasses_as_exact_scalars(sl2):
+    class Small(int):
+        pass
+    want = bracket(sl2, {0: Fraction(3, 2)}, {1: 1})
+    assert want == {0: -3}
+    assert bracket(sl2, {0: "3/2"}, {1: Small(1)}) == want
+
+
 @pytest.mark.parametrize("i, j", [(True, 2), (0, False), (1.0, 2), (0, 2.0)])
 def test_bracket_basis_refuses_non_integer_indices(sl2, i, j):
     with pytest.raises(LieAlgebraError, match="basis index: expected an integer"):
@@ -405,3 +421,18 @@ def test_bracket_basis_refuses_an_index_out_of_range(sl2):
 def test_graded_span_refuses_a_matrix_of_the_wrong_size(sl2):
     with pytest.raises(GradedSpanError, match="is not 3x3"):
         is_graded_lie_subspace(sl2, [EndoMatrix.build([[1]], sl2.degree(1), "tiny")])
+
+
+@pytest.mark.parametrize("rows", [[[0] * 3] * 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+                         ids=["zero", "identity"])
+@pytest.mark.parametrize("degree", [5, GroupSpec.finite([[0, 1], [1, 0]]).element(0)],
+                         ids=["int", "other group"])
+def test_block_check_refuses_a_degree_outside_the_algebras_group(sl2, rows, degree):
+    # a raw TypeError or BackendMismatch from the degree product before, and
+    # the zero matrix passed
+    mat = EndoMatrix.build(rows, degree, "m")
+    for check in (check_block_invariant, lambda alg, m: is_graded_lie_subspace(alg, [m])):
+        with pytest.raises(GradedSpanError) as got:
+            check(sl2, mat)
+        assert str(got.value) == \
+            "m has a declared degree that is not an element of the algebra's group"

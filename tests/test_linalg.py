@@ -177,6 +177,27 @@ def test_elimination_reads_strings_in_the_grammar_and_int_subclasses():
     assert independent_subset([[0, "0"], ["1/2", 1], [Small(1), 2]]) == [1]
 
 
+def test_independent_subset_names_the_first_bad_entry_in_vector_order():
+    # read on the transposed matrix, this named vector 1, entry 0
+    with pytest.raises(ValueError) as got:
+        independent_subset([[1, "x"], ["y", 0]])
+    assert str(got.value) == "vector 0, entry 1 is not a rational number: 'x'"
+
+
+@pytest.mark.parametrize("ncols", [True, 1.0, "1", None])
+def test_nullspace_reads_ncols_by_the_integer_rule(ncols):
+    # nullspace([], True) returned [[Fraction(1)]]
+    with pytest.raises(TypeError, match="^ncols: expected an integer, got "):
+        nullspace([], ncols)
+
+
+def test_nullspace_refuses_a_negative_ncols():
+    # nullspace([], -1) returned []
+    with pytest.raises(ValueError, match="^ncols must not be negative, got -1$"):
+        nullspace([], -1)
+    assert nullspace([], Small(1)) == [[1]]
+
+
 def test_sparse_echelon_decides_span_membership_like_in_span():
     rng = random.Random(61)
     seen = {True: 0, False: 0}

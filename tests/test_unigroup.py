@@ -227,6 +227,13 @@ def test_coarsening_mixed_backends_raise(sl2):
                                minus: z.parse([1])})
 
 
+def test_coarsening_refuses_a_label_that_is_not_a_group_element(sl2):
+    # a raw AttributeError before
+    with pytest.raises(CoarseningError) as got:
+        coarsening_check(sl2, {d: 5 for d in support(sl2)})
+    assert str(got.value) == "coarse label of [1] is not a group element: 5"
+
+
 # -- pinned transform-dependent outputs ------------------------------------------------
 
 def test_abelianization_pinned_with_torsion_images():
