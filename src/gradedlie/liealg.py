@@ -114,20 +114,30 @@ def vec_scale(c, x: LieVector) -> LieVector:
 
 def bracket(alg: GradedLieAlgebra, x: Mapping[int, Fraction],
             y: Mapping[int, Fraction]) -> LieVector:
-    """Bilinear extension of the basis bracket, read off ordered_brackets; a
+    """Bilinear extension of the basis bracket, read off ordered_brackets.
+    Every index of x, then of y, is checked before any product, and a
     coefficient other than an int or a Fraction is read by _coefficient."""
-    table = alg.ordered_brackets
+    n = alg.n
+    exact = True
+    for v in (x, y):
+        for i, c in v.items():
+            if type(i) is not int or not 0 <= i < n:
+                _check_basis_indices(n, i)
+            if type(c) is not Fraction and type(c) is not int:
+                _coefficient(c)
+                exact = False
+    if not exact:
+        x, y = ({i: _coefficient(c) for i, c in v.items()} for v in (x, y))
+    return _bracket(alg.ordered_brackets, x, y)
+
+
+def _bracket(table: Mapping[Tuple[int, int], Sequence[Tuple[int, Fraction]]],
+             x: LieVector, y: LieVector) -> LieVector:
+    """bracket by the ordered bracket table, on vectors whose indices are in
+    range and whose coefficients are ints or Fractions."""
     out: LieVector = {}
     for i, xi in x.items():
-        if type(i) is not int or not 0 <= i < alg.n:
-            _check_basis_indices(alg.n, i)
-        if type(xi) is not Fraction and type(xi) is not int:
-            xi = _coefficient(xi)
         for j, yj in y.items():
-            if type(j) is not int or not 0 <= j < alg.n:
-                _check_basis_indices(alg.n, j)
-            if type(yj) is not Fraction and type(yj) is not int:
-                yj = _coefficient(yj)
             f = xi * yj
             for k, c in table.get((i, j), ()):
                 _accumulate(out, k, f * c)
@@ -198,14 +208,16 @@ def _check_grading(alg: GradedLieAlgebra) -> CheckResult:
 
 
 def _check_jacobi(alg: GradedLieAlgebra) -> CheckResult:
+    # basis vectors and their brackets need none of bracket's input checks
+    table = alg.ordered_brackets
     for i in range(alg.n):
         for j in range(i + 1, alg.n):
             for k in range(j + 1, alg.n):
                 ei, ej, ek = basis_vector(i), basis_vector(j), basis_vector(k)
                 total = vec_add(
-                    vec_add(bracket(alg, bracket(alg, ei, ej), ek),
-                            bracket(alg, bracket(alg, ej, ek), ei)),
-                    bracket(alg, bracket(alg, ek, ei), ej))
+                    vec_add(_bracket(table, _bracket(table, ei, ej), ek),
+                            _bracket(table, _bracket(table, ej, ek), ei)),
+                    _bracket(table, _bracket(table, ek, ei), ej))
                 if total:
                     return CheckResult(
                         "jacobi", False,

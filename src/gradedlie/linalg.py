@@ -1,16 +1,16 @@
 """Exact linear algebra over the rationals and the integers.
 
-Matrices are small-scale.  The rational entry points (reduced row echelon
-forms, ranks, null spaces, solutions, span membership, independent subsets)
-check once that their rows have one length, scale each row to integers once
-and hold it sparse for the one elimination kernel, sparse._sparse_echelon;
-rref, nullspace and solve add one back-substitution pass and build
-Fractions only for their outputs.  Every entry is read by the one
+Matrices are small-scale.  There are two rational entry points: rank, and
+the null space basis of sparse integer rows (_nullspace) behind
+liealg.center.  rank checks once that its rows have one length, scales
+each row to integers once and holds it sparse for the one elimination
+kernel, sparse._sparse_echelon; _nullspace adds one back-substitution pass
+and builds Fractions only for its output.  Every entry is read by the one
 exact-scalar rule (an integer, a Fraction, or a string in the grammar of
 groups._rational_text): a float, a bool or any other type raises
 TypeError, and a string outside the grammar ValueError, each naming the
-entry's row and column in the caller's terms.  Beside them: a
-zero-skipping matrix product and an integer Smith normal form D = U*M*V.
+entry's row and column.  Beside them: a zero-skipping matrix product, an
+integer Smith normal form D = U*M*V and a row Hermite normal form.
 
 The Smith form tracks its transforms together with their inverses, the wide
 column transforms V and V^-1 as sparse rows updated in place.  A column
@@ -21,9 +21,9 @@ full update.  Every call checks the diagonal and its divisibility chain,
 U*U^-1 = V*V^-1 = I (integer matrices with integer inverses, hence
 unimodular) and U*M*V = D, read as U*M = D*V^-1, with V and V^-1 read as
 the sparse rows they are kept in; only the returned V is made dense.  The
-integer kernels (Smith form, Hermite form, determinant) take int entries
-only and coerce nothing.  Sparse vectors live in the sparse module.  No
-floating point anywhere.
+integer kernels (Smith form, Hermite form) take int entries only and
+coerce nothing.  Sparse vectors live in the sparse module.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -32,13 +32,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from .groups import _integer, _is_integer, _rational_text
+from .groups import _is_integer, _rational_text
 from .sparse import _sparse_echelon, _sparse_reduce
-
-Vector = List[Fraction]
-Matrix = List[List[Fraction]]
 
 
 def _exact_entry(x, where: str):
@@ -57,15 +54,15 @@ def _exact_entry(x, where: str):
     raise TypeError(f"{where} must be an int, a Fraction or a string, got {x!r}")
 
 
-def _integer_row(row: Sequence, r: int = 0, where: str = "row {r}, entry {c}") -> List[int]:
+def _integer_row(row: Sequence, r: int = 0) -> List[int]:
     """The row times the lcm of its denominators, as ints.  Ints and
     Fractions are read as they are and the rest by _exact_entry, which
-    names entry c of row r by the format string where."""
+    names entry c as "row r, entry c"."""
     kinds = set(map(type, row))
     if kinds == {int}:
         return list(row)
     if not kinds <= {int, Fraction}:
-        row = [_exact_entry(x, where.format(r=r, c=c)) for c, x in enumerate(row)]
+        row = [_exact_entry(x, f"row {r}, entry {c}") for c, x in enumerate(row)]
     dens = [x.denominator for x in row]
     den = math.lcm(*dens)
     if den == 1:
@@ -73,111 +70,43 @@ def _integer_row(row: Sequence, r: int = 0, where: str = "row {r}, entry {c}") -
     return [x.numerator * (den // d) for x, d in zip(row, dens)]
 
 
-def _width(rows: Sequence[Sequence], width: Optional[int] = None, what: str = "row") -> int:
-    """The number of entries of every row: width if given, else the first
-    row's (0 without rows).  A row of another length raises ValueError
-    naming it and both lengths."""
-    if width is None:
-        width = len(rows[0]) if rows else 0
+def _check_width(rows: Sequence[Sequence]) -> None:
+    """Raise ValueError, naming the row and both lengths, unless every row
+    has as many entries as the first."""
+    width = len(rows[0]) if rows else 0
     for r, row in enumerate(rows):
         if len(row) != width:
-            raise ValueError(f"{what} {r} has {len(row)} entries, expected {width}")
-    return width
-
-
-def _sparse_rows(rows: Sequence[Sequence], where: str = "row {r}, entry {c}") -> List[dict]:
-    """Each row scaled to integers by _integer_row, as a sparse vector: its
-    nonzero entries by column."""
-    return [{c: x for c, x in enumerate(_integer_row(row, r, where)) if x}
-            for r, row in enumerate(rows)]
-
-
-def _eliminate(rows: Sequence[dict]) -> Tuple[List[dict], List[int]]:
-    """Fraction-free reduced row echelon form of sparse integer rows: (rows,
-    pivots), row r a nonzero multiple of row r of the form, with its pivot
-    at pivots[r] (ascending); the rows below the rank are dropped.  A row of
-    the sparse echelon basis holds no entry left of its pivot, so one
-    back-substitution pass, last pivot first, clears each pivot from the
-    rows above it."""
-    done: list = []
-    for p, row, t in sorted(_sparse_echelon(rows), reverse=True):
-        done.insert(0, (p, _sparse_reduce(done, row), t))
-    return [row for _, row, _ in done], [p for p, _, _ in done]
-
-
-def rref(rows: Sequence[Sequence]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    ncols = _width(rows)
-    m, pivots = _eliminate(_sparse_rows(rows))
-    out = [[Fraction(row.get(c, 0), row[p]) for c in range(ncols)] for row, p in zip(m, pivots)]
-    out += [[Fraction(0)] * ncols for _ in range(len(rows) - len(m))]
-    return out, pivots
+            raise ValueError(f"row {r} has {len(row)} entries, expected {width}")
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    _width(rows)
-    return len(_sparse_echelon(_sparse_rows(rows)))
+    """The rank of a matrix of exact scalars: the size of the echelon basis
+    of its rows, each scaled to integers by _integer_row and held sparse."""
+    _check_width(rows)
+    return len(_sparse_echelon([{c: x for c, x in enumerate(_integer_row(row, r)) if x}
+                                for r, row in enumerate(rows)]))
 
 
-def nullspace(rows: Sequence[Sequence], ncols: int) -> List[Vector]:
-    """Canonical basis of {x : A x = 0}, one vector per free column.  ncols
-    is an integer (groups._integer), and a negative one raises ValueError."""
-    if _integer(ncols, "ncols") < 0:
-        raise ValueError(f"ncols must not be negative, got {ncols}")
-    _width(rows, ncols)
-    return _nullspace(_sparse_rows(rows), ncols)
-
-
-def _nullspace(rows: Sequence[dict], ncols: int) -> List[Vector]:
-    """nullspace on sparse integer rows with keys in range(ncols)."""
-    m, pivots = _eliminate(rows)
+def _nullspace(rows: Sequence[dict], ncols: int) -> List[List[Fraction]]:
+    """Canonical basis of {x : A x = 0}, one vector per free column, for A
+    given as sparse integer rows with keys in range(ncols).  A row of the
+    sparse echelon basis holds no entry left of its pivot, so one
+    back-substitution pass, last pivot first, clears each pivot from the
+    rows above it; that leaves the reduced row echelon form up to a nonzero
+    factor per row, read off as Fractions."""
+    done: list = []
+    for p, row, t in sorted(_sparse_echelon(rows), reverse=True):
+        done.insert(0, (p, _sparse_reduce(done, row), t))
+    pivots = [p for p, _, _ in done]
     basis = []
     for fc in range(ncols):
         if fc not in pivots:
             v = [Fraction(0)] * ncols
             v[fc] = Fraction(1)
-            for row, pc in zip(m, pivots):
+            for pc, row, _ in done:
                 v[pc] = Fraction(-row.get(fc, 0), row[pc])
             basis.append(v)
     return basis
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
-    """One exact solution of A x = b, or None if the system is inconsistent."""
-    if len(rhs) != len(rows):
-        raise ValueError(f"right-hand side has {len(rhs)} entries, expected {len(rows)}")
-    ncols = _width(rows)
-    _integer_row(rhs, 0, "right-hand side entry {c}")  # refuses an inexact entry
-    return _solve(rows, rhs, ncols)
-
-
-def _solve(rows: Sequence[Sequence], rhs: Sequence, ncols: int,
-           where: str = "row {r}, entry {c}") -> Optional[Vector]:
-    """solve on rows of ncols entries each and one rhs entry per row."""
-    m, pivots = _eliminate(_sparse_rows([list(row) + [b] for row, b in zip(rows, rhs)], where))
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for row, pc in zip(m, pivots):
-        x[pc] = Fraction(row.get(ncols, 0), row[pc])
-    return x
-
-
-def in_span(vectors: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
-    """Coefficients expressing target in the span of the given vectors,
-    or None if it is outside."""
-    _width(vectors, len(target), "vector")
-    _integer_row(target, 0, "target entry {c}")  # refuses an inexact entry
-    # row d of the system is coordinate d of every vector
-    return _solve([[v[d] for v in vectors] for d in range(len(target))], target, len(vectors),
-                  "vector {c}, entry {r}")
-
-
-def independent_subset(vectors: Sequence[Sequence]) -> List[int]:
-    """Indices of the greedy maximal linearly independent subset, in order:
-    the vectors that leave a remainder after reduction by those before."""
-    _width(vectors, what="vector")
-    return [t for _, _, t in _sparse_echelon(_sparse_rows(vectors, "vector {r}, entry {c}"))]
 
 
 # -- integer matrices ---------------------------------------------------------
@@ -188,37 +117,13 @@ def _integer_matrix(rows: Sequence[Sequence[int]]) -> List[List[int]]:
     naming its row and column, and a row of another length than the first
     raises ValueError."""
     m = [list(row) for row in rows]
-    _width(m)
+    _check_width(m)
     for r, row in enumerate(m):
         if not set(map(type, row)) <= {int}:
             for c, x in enumerate(row):
                 if not _is_integer(x):
                     raise TypeError(f"entry ({r},{c}) must be an integer, got {x!r}")
     return m
-
-
-def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = _integer_matrix(rows)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 @dataclass

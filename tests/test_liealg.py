@@ -11,7 +11,6 @@ from gradedlie.liealg import (EndoMatrix, GradedLieAlgebra, GradedSpanError,
                               LieAlgebraError, basis_vector, bracket, center,
                               check_block_invariant, inner_derivations,
                               is_graded_lie_subspace, validate, vec_add, vec_scale)
-from gradedlie.linalg import nullspace
 
 from conftest import FIXTURES
 
@@ -231,7 +230,7 @@ def test_center_annihilated_and_matches_global_nullspace(all_algebras):
             for k in range(alg.n):
                 rows.append([dict(alg.bracket_basis(i, j)).get(k, Fraction(0))
                              for i in range(alg.n)])
-        global_dim = len(nullspace(rows, alg.n))
+        global_dim = len(Matrix(rows).nullspace())
         assert len(vecs) == global_dim
 
 
@@ -378,6 +377,17 @@ def test_bracket_reads_strings_and_int_subclasses_as_exact_scalars(sl2):
     want = bracket(sl2, {0: Fraction(3, 2)}, {1: 1})
     assert want == {0: -3}
     assert bracket(sl2, {0: "3/2"}, {1: Small(1)}) == want
+
+
+def test_bracket_reads_y_when_x_is_empty(sl2):
+    # with x empty, both returned {} without reading y
+    with pytest.raises(LieAlgebraError, match="^basis index 99 out of range$"):
+        bracket(sl2, {}, {99: 1})
+    with pytest.raises(LieAlgebraError, match="coefficient must be an int, a Fraction or a string"):
+        bracket(sl2, {}, {0: 1.5})
+    with pytest.raises(LieAlgebraError, match="^basis index 99 out of range$"):
+        bracket(sl2, {0: 1}, {99: 1})
+    assert bracket(sl2, {}, {0: 1}) == bracket(sl2, {0: 1}, {}) == {}
 
 
 @pytest.mark.parametrize("i, j", [(True, 2), (0, False), (1.0, 2), (0, 2.0)])

@@ -7,9 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import Matrix
 from conftest import FIXTURES, load
 from test_groups import s3_spec
-from test_linalg import _matrix_lie_algebra
+from test_linalg import _matrix_lie_algebra, reference_in_span
 from test_pbw import s5_graded_sum
 
 from gradedlie import pbw
@@ -18,7 +19,7 @@ from gradedlie.groups import commute
 from gradedlie.liealg import (EndoMatrix, GradedLieAlgebra, GradedSpanError, GradedSpanReport,
                               LieAlgebraError, center, check_block_invariant, inner_derivations,
                               is_graded_lie_subspace)
-from gradedlie.linalg import _integer_row, _mat_mul, in_span, nullspace, rank
+from gradedlie.linalg import _integer_row, _mat_mul, rank
 from gradedlie.pbw import EmbedReport, SUElement, embed_check, normalize
 from gradedlie.unigroup import coarsening_check, support
 
@@ -27,7 +28,8 @@ from gradedlie.unigroup import coarsening_check, support
 
 def center_by_definition(alg):
     """Per component, one row per basis letter j and target k of
-    [e_i, e_j] over the component's letters i; the null space of each."""
+    [e_i, e_j] over the component's letters i; the null space of each, by
+    sympy."""
     out = []
     for _, idxs in alg.components():
         rows = []
@@ -35,21 +37,22 @@ def center_by_definition(alg):
             cols = [dict(alg.bracket_basis(i, j)) for i in idxs]
             for k in sorted({k for col in cols for k in col}):
                 rows.append([col.get(k, Fraction(0)) for col in cols])
-        for sol in nullspace(rows, len(idxs)):
-            out.append({idxs[t]: c for t, c in enumerate(sol) if c != 0})
+        flat = [x for row in rows for x in row]
+        for sol in Matrix(len(rows), len(idxs), flat).nullspace():
+            out.append({idxs[t]: Fraction(c.p, c.q) for t, c in enumerate(sol) if c != 0})
     return out
 
 
 def inner_derivations_by_definition(alg):
     """(label, degree, rows) of each nonzero dense ad e_i, in index order,
-    kept when it raises the rank of the maps kept before it."""
+    kept when it is outside the span of the maps kept before it."""
     n = alg.n
     kept, flats = [], []
     for i in range(n):
         rows = tuple(tuple(dict(alg.bracket_basis(i, j)).get(k, Fraction(0)) for j in range(n))
                      for k in range(n))
         flat = [x for row in rows for x in row]
-        if any(flat) and rank(flats + [flat]) > len(flats):
+        if any(flat) and reference_in_span(flats, flat) is None:
             flats.append(flat)
             kept.append((f"ad {alg.name(i)}", alg.degree(i), rows))
     return kept
@@ -101,7 +104,7 @@ def graded_span_by_definition(alg, mats):
             if not any(flat):
                 continue
             pool = [flats[i] for i, m in enumerate(mats) if m.degree == u.degree * v.degree]
-            if in_span(pool, flat) is None:
+            if reference_in_span(pool, flat) is None:
                 return GradedSpanReport(
                     False, (i1, i2), "commutator escapes the span at the product degree")
     return GradedSpanReport(True)
