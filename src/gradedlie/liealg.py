@@ -13,17 +13,18 @@ too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import compress
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from . import linalg, sparse
+from . import sparse
 from .alphabet import (GradedAlphabet, LieAlgebraError, _check_basis_indices, _check_indices,
                        _coefficient)
 from .groups import GroupElement, GroupSpec, _degree_classes, commute
-from .linalg import _integer_row
+from .linalg import _exact_entry, _integer_row
 from .sparse import _accumulate, _sparse_add, _sparse_scale
 
 LieVector = Dict[int, Fraction]
@@ -227,28 +228,50 @@ def _check_jacobi(alg: GradedLieAlgebra) -> CheckResult:
 
 # -- center and derivations -----------------------------------------------------
 
-def center(alg: GradedLieAlgebra) -> List[LieVector]:
-    """Homogeneous basis of {x : [x, L] = 0}, computed per component so every
-    returned vector is homogeneous.
+def _ad_kernel(alg: GradedLieAlgebra) -> Tuple[List[int], List[LieVector]]:
+    """One elimination of the maps ad e_i, component by component: the
+    letters whose maps are kept, in index order, and center's relations.
 
-    A component's equations have one row per basis letter j and target k
-    with [e_i, e_j] = ... + c e_k + ... for some letter i of the component,
-    read off ordered_brackets, scaled to integers and held sparse.  The null
-    space basis is the canonical one of the reduced row echelon form, so it
-    depends only on the rows' span, not on their order."""
-    comps = alg.components()
-    where = {i: (p, t) for p, (_, idxs) in enumerate(comps) for t, i in enumerate(idxs)}
-    rows: List[Dict[Tuple[int, int], Dict[int, Fraction]]] = [{} for _ in comps]
+    Each ad e_i is a sparse integer vector, entry (k, j) keyed k*n + j and
+    scaled by the common denominator D of the structure constants, with a
+    tag 1 at key n*n + i.  It is reduced on the kept rows of its component
+    (in components() order, letters in index order); a map with an entry
+    below n*n left is kept.  Otherwise the tags left are a relation
+    sum_t x_t ad e_t = 0, divided by the tag at i: the canonical null space
+    vector of column i, which holds 1 at i and 0 at every other map not
+    kept.  A map is kept iff it is not in the span of the earlier maps,
+    and maps of different degrees have disjoint entries, so the kept maps
+    are also the greedy independent subset of all of them, in index order."""
+    n = alg.n
+    tag = n * n
+    den = math.lcm(*(c.denominator for terms in alg.brackets.values() for _, c in terms))
+    ads: Dict[int, Dict[int, int]] = {}
     for (i, j), terms in alg.ordered_brackets.items():
-        p, t = where[i]
+        ad = ads.setdefault(i, {})
         for k, c in terms:
-            rows[p].setdefault((j, k), {})[t] = c
-    out: List[LieVector] = []
-    for (_, idxs), eqs in zip(comps, rows):
-        ints = [dict(zip(row, _integer_row(list(row.values())))) for row in eqs.values()]
-        for sol in linalg._nullspace(ints, len(idxs)):
-            out.append({idxs[t]: c for t, c in enumerate(sol) if c != 0})
-    return out
+            ad[k * n + j] = c.numerator * (den // c.denominator)
+    kept: List[int] = []
+    relations: List[LieVector] = []
+    for _, idxs in alg.components():
+        basis: list = []
+        for i in idxs:
+            v = sparse._sparse_reduce(basis, {**ads.get(i, {}), tag + i: 1})
+            p = min(v)
+            if p < tag:
+                basis.append((p, v, i))
+                kept.append(i)
+            else:
+                relations.append({k - tag: Fraction(x, v[tag + i]) for k, x in sorted(v.items())})
+    return sorted(kept), relations
+
+
+def center(alg: GradedLieAlgebra) -> List[LieVector]:
+    """Homogeneous basis of {x : [x, L] = 0}: the relations among the maps
+    ad e_i found by _ad_kernel, per component, so every returned vector is
+    homogeneous.  Per component it is the canonical null space basis of the
+    reduced row echelon form of the system [x, e_j] = 0, one vector per map
+    in the span of the maps before it, so it depends only on the maps."""
+    return _ad_kernel(alg)[1]
 
 
 @dataclass(frozen=True)
@@ -315,28 +338,19 @@ def inner_derivations(alg: GradedLieAlgebra) -> List[EndoMatrix]:
     linearly independent set.  Column j of ad e_i holds [e_i, e_j], read off
     ordered_brackets; the maps that vanish (no nonzero bracket) are left out.
 
-    The maps are kept greedily in index order: a map is kept iff it leaves
-    a remainder on the sparse echelon basis of the maps before it, each map
-    held sparse by its coordinates (k, j) and scaled to integers.  Only the
+    The maps are kept greedily in index order, as _ad_kernel keeps them: a
+    map is kept iff it is not in the span of the maps before it.  Only the
     kept maps are made dense."""
-    ads: Dict[int, Dict[Tuple[int, int], Fraction]] = {}
-    for (i, j), terms in alg.ordered_brackets.items():
-        ad_i = ads.setdefault(i, {})
-        for k, c in terms:
-            ad_i[(k, j)] = c
-    order = list(ads)
-    kept = sparse._sparse_echelon([dict(zip(ad, _integer_row(list(ad.values()))))
-                                   for ad in ads.values()])
     n = alg.n
     zero = Fraction(0)
-    out = []
-    for _, _, t in kept:
-        i = order[t]
-        rows = [[zero] * n for _ in range(n)]
-        for (k, j), c in ads[i].items():
-            rows[k][j] = c
-        out.append(EndoMatrix(tuple(map(tuple, rows)), alg.degree(i), f"ad {alg.name(i)}"))
-    return out
+    dense = {i: [[zero] * n for _ in range(n)] for i in _ad_kernel(alg)[0]}
+    for (i, j), terms in alg.ordered_brackets.items():
+        rows = dense.get(i)
+        if rows:
+            for k, c in terms:
+                rows[k][j] = c
+    return [EndoMatrix(tuple(map(tuple, rows)), alg.degree(i), f"ad {alg.name(i)}")
+            for i, rows in dense.items()]
 
 
 @dataclass
@@ -377,7 +391,9 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
         who = _check_block_shape(alg, mat)
         flat = mat.flatten()
         if not set(map(type, flat)) <= {int, Fraction}:
-            flat = _integer_row(flat)  # reads the other exact scalars, refuses the rest
+            # reads the other exact scalars, refuses the rest where they stand
+            flat = [_exact_entry(x, f"{who} entry ({p // n},{p % n})")
+                    for p, x in enumerate(flat)]
         cells = list(compress(range(n * n), flat))
         _check_block_entries(alg, mat, who, [divmod(p, n) for p in cells])
         nonzero = dict(zip(cells, _integer_row([flat[p] for p in cells])))

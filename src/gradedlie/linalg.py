@@ -1,16 +1,14 @@
 """Exact linear algebra over the rationals and the integers.
 
-Matrices are small-scale.  There are two rational entry points: rank, and
-the null space basis of sparse integer rows (_nullspace) behind
-liealg.center.  rank checks once that its rows have one length, scales
-each row to integers once and holds it sparse for the one elimination
-kernel, sparse._sparse_echelon; _nullspace adds one back-substitution pass
-and builds Fractions only for its output.  Every entry is read by the one
-exact-scalar rule (an integer, a Fraction, or a string in the grammar of
-groups._rational_text): a float, a bool or any other type raises
-TypeError, and a string outside the grammar ValueError, each naming the
-entry's row and column.  Beside them: a zero-skipping matrix product, an
-integer Smith normal form D = U*M*V and a row Hermite normal form.
+Matrices are small-scale.  rank is the one rational entry point: it checks
+once that its rows have one length, scales each row to integers once and
+holds it sparse for the one elimination kernel, sparse._sparse_echelon.
+Every entry is read by the one exact-scalar rule (an integer, a Fraction,
+or a string in the grammar of groups._rational_text): a float, a bool or
+any other type raises TypeError, and a string outside the grammar
+ValueError, each naming where the entry is.  Beside it: a zero-skipping
+matrix product, an integer Smith normal form D = U*M*V and a row Hermite
+normal form.
 
 The Smith form tracks its transforms together with their inverses, the wide
 column transforms V and V^-1 as sparse rows updated in place.  A column
@@ -35,7 +33,7 @@ from itertools import compress
 from typing import List, Sequence
 
 from .groups import _is_integer, _rational_text
-from .sparse import _sparse_echelon, _sparse_reduce
+from .sparse import _sparse_echelon
 
 
 def _exact_entry(x, where: str):
@@ -85,28 +83,6 @@ def rank(rows: Sequence[Sequence]) -> int:
     _check_width(rows)
     return len(_sparse_echelon([{c: x for c, x in enumerate(_integer_row(row, r)) if x}
                                 for r, row in enumerate(rows)]))
-
-
-def _nullspace(rows: Sequence[dict], ncols: int) -> List[List[Fraction]]:
-    """Canonical basis of {x : A x = 0}, one vector per free column, for A
-    given as sparse integer rows with keys in range(ncols).  A row of the
-    sparse echelon basis holds no entry left of its pivot, so one
-    back-substitution pass, last pivot first, clears each pivot from the
-    rows above it; that leaves the reduced row echelon form up to a nonzero
-    factor per row, read off as Fractions."""
-    done: list = []
-    for p, row, t in sorted(_sparse_echelon(rows), reverse=True):
-        done.insert(0, (p, _sparse_reduce(done, row), t))
-    pivots = [p for p, _, _ in done]
-    basis = []
-    for fc in range(ncols):
-        if fc not in pivots:
-            v = [Fraction(0)] * ncols
-            v[fc] = Fraction(1)
-            for pc, row, _ in done:
-                v[pc] = Fraction(-row.get(fc, 0), row[pc])
-            basis.append(v)
-    return basis
 
 
 # -- integer matrices ---------------------------------------------------------

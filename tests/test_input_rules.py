@@ -16,7 +16,8 @@ from gradedlie.algfile import AlgebraFileError, parse_word
 from gradedlie.cli import main
 from gradedlie.freelie import FreeLieError
 from gradedlie.groups import GroupError
-from gradedlie.liealg import LieAlgebraError, vec_scale
+from gradedlie.liealg import (LieAlgebraError, inner_derivations, is_graded_lie_subspace,
+                              vec_scale)
 
 from conftest import FIXTURES
 
@@ -134,3 +135,29 @@ def test_vector_scalars_follow_the_coefficient_rule():
     for bad in (0.5, True, "1e3"):
         with pytest.raises(LieAlgebraError):
             vec_scale(bad, {0: Fraction(2)})
+
+
+@pytest.mark.parametrize("entry, error", [(1.5, TypeError), (True, TypeError),
+                                          ("1e3", ValueError)])
+def test_graded_span_check_names_an_inexact_entry_by_label_and_position(sl2, entry, error):
+    rows = [[0] * 3 for _ in range(3)]
+    rows[1][2] = entry
+    mat = EndoMatrix(tuple(map(tuple, rows)), sl2.degree(0), "m")
+    with pytest.raises(error) as got:
+        is_graded_lie_subspace(sl2, [mat])
+    assert "m entry (1,2) " in str(got.value)
+
+
+def test_graded_span_check_reads_string_entries_as_build_does(sl2):
+    # the ad maps of sl2 halved, their entries written as strings like '1/2'
+    halved = [[[str(Fraction(c, 2)) for c in row] for row in mat.rows]
+              for mat in inner_derivations(sl2)]
+    assert "1/2" in {x for rows in halved for row in rows for x in row}
+    verdicts = set()
+    for picked in ([0, 2], [0, 1, 2], [1, 2]):
+        direct = [EndoMatrix(tuple(map(tuple, halved[i])), sl2.degree(i)) for i in picked]
+        built = [EndoMatrix.build(halved[i], sl2.degree(i)) for i in picked]
+        report = is_graded_lie_subspace(sl2, direct)
+        assert report == is_graded_lie_subspace(sl2, built), picked
+        verdicts.add(report.ok)
+    assert verdicts == {True, False}

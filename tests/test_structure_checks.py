@@ -13,12 +13,12 @@ from test_groups import s3_spec
 from test_linalg import _matrix_lie_algebra, reference_in_span
 from test_pbw import s5_graded_sum
 
-from gradedlie import pbw
+from gradedlie import pbw, sparse
 from gradedlie.groups import GroupSpec
 from gradedlie.groups import commute
 from gradedlie.liealg import (EndoMatrix, GradedLieAlgebra, GradedSpanError, GradedSpanReport,
                               LieAlgebraError, center, check_block_invariant, inner_derivations,
-                              is_graded_lie_subspace)
+                              is_graded_lie_subspace, validate)
 from gradedlie.linalg import _integer_row, _mat_mul, rank
 from gradedlie.pbw import EmbedReport, SUElement, embed_check, normalize
 from gradedlie.unigroup import coarsening_check, support
@@ -186,6 +186,53 @@ def test_inner_derivations_match_definition(algebras):
         assert all(type(x) is Fraction for m in mats for row in m.rows for x in row), name
         dropped += len(mats) < len({i for pair in alg.brackets for i in pair})
     assert dropped >= 3  # gl_n's ad maps are dependent: the identity is central
+
+
+def rescaled(alg, scales, perm):
+    """alg on the basis f_perm[i] = scales[i] e_i, the names and degrees
+    moved with the letters: c e_k in [e_i, e_j] is s_i s_j c / s_k f_perm[k]
+    in [f_perm[i], f_perm[j]], negated when perm[i] > perm[j]."""
+    degrees, names = [None] * alg.n, [None] * alg.n
+    for i in range(alg.n):
+        degrees[perm[i]], names[perm[i]] = alg.degree(i), alg.name(i)
+    brackets = {}
+    for (i, j), terms in alg.brackets.items():
+        sign = 1 if perm[i] < perm[j] else -1
+        brackets[tuple(sorted((perm[i], perm[j])))] = [
+            (perm[k], sign * scales[i] * scales[j] * c / scales[k]) for k, c in terms]
+    return GradedLieAlgebra(alg.group, degrees, brackets, names)
+
+
+def test_center_and_inner_derivations_on_rescaled_permuted_letters(monkeypatch, algebras):
+    """gl3, gl4 and sl4 with every letter rescaled by a nonzero rational and
+    the letters permuted.  center's relation for a letter is what reducing
+    its ad map leaves on the tags past the n*n entries, divided by the tag
+    of the letter itself; here that tag is not always a unit."""
+    original, seen = sparse._sparse_reduce, []
+
+    def reduce(basis, vec):
+        out = original(basis, vec)
+        seen.append((vec, out))
+        return out
+
+    monkeypatch.setattr(sparse, "_sparse_reduce", reduce)
+    rng = random.Random(67)
+    non_units = 0
+    for name in ("gl3", "gl4", "sl4"):
+        for _ in range(4):
+            alg = algebras[name]
+            scales = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                      for _ in range(alg.n)]
+            variant = rescaled(alg, scales, rng.sample(range(alg.n), alg.n))
+            assert validate(variant).passed, name
+            seen.clear()
+            assert center(variant) == center_by_definition(variant), name
+            tag = variant.n ** 2
+            non_units += sum(min(out) >= tag and abs(out[max(vec)]) != 1 for vec, out in seen)
+            mats = inner_derivations(variant)
+            assert [(m.label, m.degree, m.rows) for m in mats] == \
+                inner_derivations_by_definition(variant), name
+    assert non_units >= 3
 
 
 def test_embed_check_matches_definition(algebras):
