@@ -298,16 +298,15 @@ def check_block_invariant(alg: GradedLieAlgebra, mat: EndoMatrix) -> None:
     """Raise GradedSpanError unless mat respects its declared degree: every
     nonzero entry (r, c) has deg e_r = mat.degree * deg e_c.  The first entry
     outside its block, in row-major order, is the one named."""
-    who = _check_block_shape(alg, mat)
-    _check_block_entries(alg, mat, who, [(r, c) for r, row in enumerate(mat.rows)
-                                         for c, x in enumerate(row) if x])
-
-
-def _check_block_shape(alg: GradedLieAlgebra, mat: EndoMatrix) -> str:
-    """The name of mat in messages, once it is known to have a declared
-    degree in the algebra's group and n x n entries; raise GradedSpanError
-    otherwise."""
     who = mat.label or "matrix"
+    _check_block_shape(alg, mat, who)
+    _check_block_entries(alg, mat, who, [(r, c) for r, row in enumerate(mat.rows)
+                                         for c, x in enumerate(row) if x], {})
+
+
+def _check_block_shape(alg: GradedLieAlgebra, mat: EndoMatrix, who: str) -> None:
+    """Raise GradedSpanError, naming mat as who, unless it has a declared
+    degree in the algebra's group and n x n entries."""
     if mat.degree is None:
         raise GradedSpanError(f"{who} has no declared degree")
     if not isinstance(mat.degree, GroupElement) or mat.degree.spec != alg.group:
@@ -315,19 +314,22 @@ def _check_block_shape(alg: GradedLieAlgebra, mat: EndoMatrix) -> str:
                               "algebra's group")
     if len(mat.rows) != alg.n or any(len(r) != alg.n for r in mat.rows):
         raise GradedSpanError(f"{who} is not {alg.n}x{alg.n}")
-    return who
 
 
 def _check_block_entries(alg: GradedLieAlgebra, mat: EndoMatrix, who: str,
-                         cells: Sequence[Tuple[int, int]]) -> None:
+                         cells: Sequence[Tuple[int, int]],
+                         wants: Dict[GroupElement, List[int]]) -> None:
     """Raise GradedSpanError at the first of the cells (r, c), the nonzero
     entries of mat in row-major order, with deg e_r != mat.degree * deg e_c.
     The product is formed once per distinct column degree and compared by
-    its position among the distinct degrees (-1 outside them)."""
+    its position among the distinct degrees (-1 outside them); that row is
+    kept in wants under mat.degree, for the other matrices of one call."""
     if not cells:
         return
     index, position = alg._degree_index
-    want = [index.get(mat.degree * d, -1) for d in index]
+    want = wants.get(mat.degree)
+    if want is None:
+        want = wants[mat.degree] = [index.get(mat.degree * d, -1) for d in index]
     for r, c in cells:
         if position[r] != want[position[c]]:
             raise GradedSpanError(f"{who} has entry ({r},{c}) outside its degree block")
@@ -375,7 +377,9 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     vanish; otherwise a nonzero commutator must lie in the span of the listed
     matrices of the product degree.  The first offending pair is the witness.
     Every matrix passes check_block_invariant first, read on its nonzero
-    entries.  Each matrix is scaled to integers once (its nonzero entries
+    entries, with the positions it wants formed once per distinct declared
+    degree; an unlabelled matrix is named mats[i] in a refusal, as
+    witness_labels names it.  Each matrix is scaled to integers once (its nonzero entries
     times the lcm of their denominators), which changes neither answer, and
     held as sparse rows; a commutator is a sparse product, keyed by the
     flat index r*n + c.  The commute test and the product of two declared
@@ -387,15 +391,17 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     """
     n = alg.n
     flats, ints = [], []
-    for mat in mats:
-        who = _check_block_shape(alg, mat)
+    wants: Dict[GroupElement, List[int]] = {}
+    for i, mat in enumerate(mats):
+        who = mat.label or f"mats[{i}]"
+        _check_block_shape(alg, mat, who)
         flat = mat.flatten()
         if not set(map(type, flat)) <= {int, Fraction}:
             # reads the other exact scalars, refuses the rest where they stand
             flat = [_exact_entry(x, f"{who} entry ({p // n},{p % n})")
                     for p, x in enumerate(flat)]
         cells = list(compress(range(n * n), flat))
-        _check_block_entries(alg, mat, who, [divmod(p, n) for p in cells])
+        _check_block_entries(alg, mat, who, [divmod(p, n) for p in cells], wants)
         nonzero = dict(zip(cells, _integer_row([flat[p] for p in cells])))
         rows: List[Dict[int, int]] = [{} for _ in range(n)]
         for p, x in nonzero.items():

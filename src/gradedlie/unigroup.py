@@ -3,14 +3,15 @@ coarsening checks.
 
 The universal grading group is generated by the support with one relation
 s1*s2 = s3 per ordered support pair whose components bracket nonzero.  Only
-its abelianization is decided here (via integer Smith normal form); the group
-itself is emitted as a presentation and nothing more.
+its abelianization is decided here, from the integer Smith form of the
+distinct relation columns; the group itself is emitted as a presentation and
+nothing more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .groups import GroupElement, _degree_classes
 from .liealg import GradedLieAlgebra, LieAlgebraError
@@ -83,22 +84,27 @@ class AbelianizationData:
 
 
 def abelianize(pres: Presentation) -> AbelianizationData:
-    """Write each relation additively as s1 + s2 - s3 = 0, Smith-reduce the
-    relation lattice, and read off the invariant factors and the generator
-    images.  The free block of the images is Hermite-normalized so equal
-    inputs give identical output.  A repeated generator label, a relation
-    that is not a triple and a relation with an unknown label raise
-    LieAlgebraError naming the label or the relation, before any
-    elimination."""
+    """Write each relation additively as the column s1 + s2 - s3, take the
+    Smith form of the distinct relation columns, in order of first
+    appearance, and read off the invariant factors and the generator images.
+    A repeated column spans nothing new, so the relation lattice, the group
+    and the free coordinates are those of all the columns; the torsion
+    coordinates are a choice of basis, read off U, which depends on the
+    column order.  The free block of the images is Hermite-normalized so
+    equal inputs give identical output.  Every relation is checked on the
+    images afterwards.  A repeated generator label, a relation that is not a
+    triple and a relation with an unknown label raise LieAlgebraError naming
+    the label or the relation, before any elimination."""
     gens = pres.generators
     s = len(gens)
     pos = {g: p for p, g in enumerate(gens)}
     if len(pos) < s:
         repeated = next(g for p, g in enumerate(gens) if pos[g] != p)
         raise LieAlgebraError(f"generator {repeated!r} is listed more than once")
-    m = len(pres.relations)
-    # columns are relations: N[gen][rel]
-    N = [[0] * m for _ in range(s)]
+    # relation r is the column e_a + e_b - e_c: e_b if c = a, e_a if c = b,
+    # else keyed by (a, b, c) with a <= b.  A repeated column spans nothing
+    # new, so each distinct one is kept once, in order of first appearance.
+    columns: Dict[Tuple[int, ...], None] = {}
     for r, rel in enumerate(pres.relations):
         if not isinstance(rel, (tuple, list)) or len(rel) != 3:
             raise LieAlgebraError(f"relation {r} is not a triple of generator labels: {rel!r}")
@@ -107,9 +113,22 @@ def abelianize(pres: Presentation) -> AbelianizationData:
         except KeyError as exc:
             raise LieAlgebraError(
                 f"relation {r} uses unknown generator {exc.args[0]!r}") from None
-        N[a][r] += 1
-        N[b][r] += 1
-        N[c][r] -= 1
+        if c == a:
+            columns[(b,)] = None
+        elif c == b:
+            columns[(a,)] = None
+        else:
+            columns[(a, b, c) if a <= b else (b, a, c)] = None
+    # N[gen][column]
+    N = [[0] * len(columns) for _ in range(s)]
+    for k, col in enumerate(columns):
+        if len(col) == 1:
+            N[col[0]][k] = 1
+        else:
+            a, b, c = col
+            N[a][k] += 1
+            N[b][k] += 1
+            N[c][k] = -1
 
     snf = smith_normal_form(N)
     nonzero = [d for d in snf.diag if d != 0]
@@ -210,9 +229,11 @@ def coarsening_check(alg: GradedLieAlgebra,
     validate) LieAlgebraError; compatibility failures are reported with the
     offending pair.
 
-    The pairs are the keys of ordered_brackets, which are exactly the
-    nonzero ordered pairs in row-major order, so the witness is the first
-    failing pair in row-major order."""
+    Each ordered pair of support degrees whose components bracket nonzero
+    (the keys of _support_products) is checked once, with one coarse
+    product.  The bracket pairs are the keys of ordered_brackets, which are
+    exactly the nonzero ordered pairs in row-major order, and the witness is
+    the first of them whose pair of degrees fails."""
     supp = support(alg)
     for deg in supp:
         if deg not in relabel:
@@ -221,28 +242,41 @@ def coarsening_check(alg: GradedLieAlgebra,
         if not isinstance(relabel[deg], GroupElement):
             raise CoarseningError(f"coarse label of {alg.group.format(deg)} is not a group "
                                   f"element: {relabel[deg]!r}")
-    coarse_specs = {relabel[deg].spec for deg in supp}
-    if len(coarse_specs) > 1:
+    coarse = [relabel[deg] for deg in supp]
+    if len({c.spec for c in coarse}) > 1:
         raise CoarseningError("coarse labels live in different groups")
 
-    image = [relabel[deg] for deg in alg.degrees]
-    for i, j in alg.ordered_brackets:
-        prod = alg.degree(i) * alg.degree(j)
-        try:
-            rhs = relabel[prod]
-        except KeyError:
-            raise LieAlgebraError(
-                f"bracket lands outside the support at degree {alg.group.format(prod)}; "
-                "validate the algebra first") from None
-        lhs = image[i] * image[j]
+    # pair of support positions -> None if its product is outside the
+    # relabeling, else the two sides of the failing equation
+    failures: Dict[Tuple[int, int], Optional[Tuple[GroupElement, GroupElement]]] = {}
+    for (p, q), k in alg._support_products.items():
+        if k is None:
+            # outside the support; a relabeling may still name it
+            try:
+                rhs = relabel[supp[p] * supp[q]]
+            except KeyError:
+                failures[p, q] = None
+                continue
+        else:
+            rhs = coarse[k]
+        lhs = coarse[p] * coarse[q]
         if lhs != rhs:
-            spec = image[i].spec
-            return CoarseningReport(
-                False, witness=(i, j),
-                reason=f"bracket ({alg.name(i)},{alg.name(j)}) needs "
-                       f"{spec.format(lhs)} = {spec.format(rhs)}")
+            failures[p, q] = (lhs, rhs)
+    if failures:
+        position = alg._degree_index[1]
+        i, j = next((i, j) for i, j in alg.ordered_brackets
+                    if (position[i], position[j]) in failures)
+        p, q = position[i], position[j]
+        if failures[p, q] is None:
+            raise LieAlgebraError(
+                f"bracket lands outside the support at degree "
+                f"{alg.group.format(supp[p] * supp[q])}; validate the algebra first")
+        lhs, rhs = failures[p, q]
+        spec = lhs.spec
+        return CoarseningReport(
+            False, witness=(i, j),
+            reason=f"bracket ({alg.name(i)},{alg.name(j)}) needs "
+                   f"{spec.format(lhs)} = {spec.format(rhs)}")
 
-    support_map = [(deg, relabel[deg]) for deg in supp]
-    merges = [(coarse, [supp[p] for p in fines])
-              for coarse, fines in _degree_classes([c for _, c in support_map])]
-    return CoarseningReport(True, Coarsening(support_map, merges))
+    merges = [(label, [supp[p] for p in fines]) for label, fines in _degree_classes(coarse)]
+    return CoarseningReport(True, Coarsening(list(zip(supp, coarse)), merges))

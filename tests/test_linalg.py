@@ -268,16 +268,28 @@ def _relation_matrices(monkeypatch, alg):
     return seen
 
 
-def test_smith_matches_sympy_with_unimodular_transforms(monkeypatch):
+def _full_relation_matrix(pres):
+    """The generators-by-relations matrix of a presentation, one column
+    s1 + s2 - s3 for every relation s1*s2 = s3, repeated columns included."""
+    pos = {g: p for p, g in enumerate(pres.generators)}
+    rows = [[0] * len(pres.relations) for _ in pres.generators]
+    for r, (s1, s2, s3) in enumerate(pres.relations):
+        rows[pos[s1]][r] += 1
+        rows[pos[s2]][r] += 1
+        rows[pos[s3]][r] -= 1
+    return rows
+
+
+def test_smith_matches_sympy_with_unimodular_transforms():
     rng = random.Random(23)
     matrices = [random_int_matrix(rng, rng.randrange(1, 9), rng.randrange(1, 9))
                 for _ in range(40)]
     for traceless in (False, True):  # gl4 and sl4: 13 x 84
         alg = _matrix_lie_algebra(4, traceless)
         assert validate(alg).passed
-        relations = _relation_matrices(monkeypatch, alg)
-        assert [(len(m), len(m[0])) for m in relations] == [(13, 84)]
-        matrices += relations
+        relations = _full_relation_matrix(unigroup.universal_presentation(alg))
+        assert (len(relations), len(relations[0])) == (13, 84)
+        matrices.append(relations)
     for m in matrices:
         form = smith_normal_form(m)
         ref = sympy_snf(Matrix(m))

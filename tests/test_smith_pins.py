@@ -10,11 +10,11 @@ is no longer zero below the pivot.
 """
 
 import pytest
-from test_linalg import _matrix_lie_algebra, _relation_matrices
+from test_linalg import _full_relation_matrix, _matrix_lie_algebra, _relation_matrices
 
 from gradedlie import linalg
 from gradedlie.linalg import SmithForm, _check_smith, smith_normal_form
-from gradedlie.unigroup import Presentation, abelianize
+from gradedlie.unigroup import Presentation, abelianize, universal_presentation
 
 
 def _dense(n, sparse_rows):
@@ -132,10 +132,23 @@ ROOT4_V = [
 
 
 @pytest.mark.parametrize("traceless", (False, True), ids=("gl4", "sl4"))
-def test_smith_transforms_of_the_root_relation_matrix(monkeypatch, traceless):
-    (relations,) = _relation_matrices(monkeypatch, _matrix_lie_algebra(4, traceless))
+def test_smith_transforms_of_the_root_relation_matrix(traceless):
+    relations = _full_relation_matrix(universal_presentation(_matrix_lie_algebra(4, traceless)))
     assert (len(relations), len(relations[0])) == (13, 84)
     assert smith_normal_form(relations) == SmithForm(ROOT4_DIAG, ROOT4_U, _dense(84, ROOT4_V))
+
+
+@pytest.mark.parametrize("traceless", (False, True), ids=("gl4", "sl4"))
+def test_abelianize_passes_the_distinct_root_relation_columns(monkeypatch, traceless):
+    # the 84 relations give 31 distinct columns, in order of first appearance;
+    # they span the same lattice, with the same diagonal and the same U
+    alg = _matrix_lie_algebra(4, traceless)
+    full = _full_relation_matrix(universal_presentation(alg))
+    (relations,) = _relation_matrices(monkeypatch, alg)
+    assert (len(relations), len(relations[0])) == (13, 31)
+    assert list(zip(*relations)) == list(dict.fromkeys(zip(*full)))
+    form = smith_normal_form(relations)
+    assert (form.diag, form.U) == (ROOT4_DIAG, ROOT4_U)
 
 
 # -- a presentation whose abelianization has torsion ---------------------------------

@@ -416,6 +416,83 @@ def test_coarsening_check_reads_a_relabel_that_covers_the_product():
     assert not report.ok and report.witness == (1, 0)
 
 
+def test_coarsening_check_visits_pairs_in_row_major_order_across_both_failures():
+    # z (deg 1) brackets x (deg s) at pairs (0,1) and (1,0); [x, y] lands at
+    # st, outside the support, at pairs (1,2) and (2,1).  A failure at (0,1)
+    # is the witness before the product outside the support is reached;
+    # with (0,1) compatible, that product raises.
+    s, t = S3.element(2), S3.element(1)
+    alg = GradedLieAlgebra(S3, [S3.identity(), s, t], {(0, 1): [(1, 1)], (1, 2): [(0, 1)]},
+                           ["z", "x", "y"])
+    z2 = cyclic(2)
+    report = coarsening_check(alg, {S3.identity(): z2.element(1), s: z2.element(1),
+                                    t: z2.element(1)})
+    assert (report.ok, report.witness) == (False, (0, 1))
+    with pytest.raises(LieAlgebraError, match=r"outside the support at degree"):
+        coarsening_check(alg, {S3.identity(): z2.element(0), s: z2.element(1),
+                               t: z2.element(1)})
+
+
+def _count_products(monkeypatch):
+    """A list that gets one entry per product of two group elements."""
+    from gradedlie.groups import GroupElement
+    calls = []
+    mul = GroupElement.__mul__
+    monkeypatch.setattr(GroupElement, "__mul__",
+                        lambda self, other: calls.append(None) or mul(self, other))
+    return calls
+
+
+def test_coarsening_check_forms_one_product_per_pair_of_support_degrees(monkeypatch, algebras):
+    calls = _count_products(monkeypatch)
+    for name, alg in algebras.items():
+        assert None not in alg._support_products.values(), name
+        relabel = {d: d for d in support(alg)}
+        calls.clear()
+        assert coarsening_check(alg, relabel).ok, name
+        assert len(calls) == len(alg._support_products), name
+    # gl4: 108 ordered bracket pairs, on 84 ordered pairs of support degrees
+    gl4 = algebras["gl4"]
+    calls.clear()
+    coarsening_check(gl4, {d: d for d in support(gl4)})
+    assert (len(gl4.ordered_brackets), len(calls)) == (108, 84)
+
+
+def test_graded_span_check_forms_the_wanted_positions_once_per_matrix_degree(monkeypatch):
+    from gradedlie import liealg
+    calls = _count_products(monkeypatch)
+    in_block = []
+    check = liealg._check_block_entries
+
+    def counting_check(*args):
+        before = len(calls)
+        check(*args)
+        in_block.append(len(calls) - before)
+    monkeypatch.setattr(liealg, "_check_block_entries", counting_check)
+    alg = _matrix_lie_algebra(3, False)
+    mats = ad_maps(alg)
+    assert is_graded_lie_subspace(alg, mats).ok
+    # nine maps in seven distinct degrees, each against the seven degrees of gl3
+    assert len({m.degree for m in mats}) == len(alg._degree_index[0]) == 7
+    assert (len(in_block), sum(in_block)) == (9, 49)
+
+
+def test_graded_span_check_names_an_unlabelled_matrix_by_its_place():
+    alg = GradedLieAlgebra(S3, [S3.identity()] * 3, {})
+    ok = EndoMatrix.build([[1, 0, 0], [0, 1, 0], [0, 0, 1]], S3.identity())
+    cases = [(EndoMatrix.build([[1, 0, 0]] * 2, S3.identity()), "mats[2] is not 3x3"),
+             (EndoMatrix.build([[0, 1, 0]] * 3, S3.element(1)),
+              "mats[2] has entry (0,1) outside its degree block"),
+             (EndoMatrix.build([[0, 1, 0]] * 3, S3.element(1), "m"),
+              "m has entry (0,1) outside its degree block")]
+    for bad, message in cases:
+        with pytest.raises(GradedSpanError) as got:
+            is_graded_lie_subspace(alg, [ok, ok, bad])
+        assert str(got.value) == message
+    with pytest.raises(GradedSpanError, match=r"^matrix has entry \(0,1\)"):
+        check_block_invariant(alg, cases[1][0])
+
+
 # -- the block invariant -----------------------------------------------------------------
 
 def block_invariant_by_definition(alg, mat):
@@ -462,21 +539,28 @@ def test_block_invariant_names_the_first_outside_entry_in_row_major_order():
         "m has entry (1,0) outside its degree block"
 
 
-@pytest.mark.parametrize("mat, message", [
-    (EndoMatrix.build([[1, 0], [0, 1]], None, "no degree"), "no degree has no declared degree"),
-    (EndoMatrix((("1.5", 0, 0),) * 2, S3.identity(), "short"), "short is not 3x3"),
-    (EndoMatrix(((1.5, 0), (0, 1), (0, 0)), S3.identity()), "matrix is not 3x3"),
-    (EndoMatrix(((1.5, 0, 0),) * 3, None), "matrix has no declared degree"),
+@pytest.mark.parametrize("mat, message, span_message", [
+    (EndoMatrix.build([[1, 0], [0, 1]], None, "no degree"), "no degree has no declared degree",
+     "no degree has no declared degree"),
+    (EndoMatrix((("1.5", 0, 0),) * 2, S3.identity(), "short"), "short is not 3x3",
+     "short is not 3x3"),
+    (EndoMatrix(((1.5, 0), (0, 1), (0, 0)), S3.identity()), "matrix is not 3x3",
+     "mats[0] is not 3x3"),
+    (EndoMatrix(((1.5, 0, 0),) * 3, None), "matrix has no declared degree",
+     "mats[0] has no declared degree"),
 ], ids=["no degree", "too few rows", "too few columns", "float, no degree"])
-def test_block_invariant_refuses_shape_and_degree_before_scaling(monkeypatch, mat, message):
+def test_block_invariant_refuses_shape_and_degree_before_scaling(monkeypatch, mat, message,
+                                                                 span_message):
+    # is_graded_lie_subspace names an unlabelled matrix by its place in mats
     from gradedlie import liealg
     scaled = []
     monkeypatch.setattr(liealg, "_integer_row", lambda *args: scaled.append(args))
     alg = GradedLieAlgebra(S3, [S3.identity()] * 3, {})
-    for check in (check_block_invariant, lambda alg, mat: is_graded_lie_subspace(alg, [mat])):
+    for check, want in ((check_block_invariant, message),
+                        (lambda alg, mat: is_graded_lie_subspace(alg, [mat]), span_message)):
         with pytest.raises(GradedSpanError) as got:
             check(alg, mat)
-        assert str(got.value) == message
+        assert str(got.value) == want
     assert scaled == []
 
 

@@ -1,5 +1,6 @@
-"""Pins of the structure outputs the benchmark renders, and a property test
-of the abelianization against sympy's Smith form.
+"""Pins of the structure outputs the benchmark renders, and property tests
+of the abelianization against sympy's Smith form and against the Smith form
+of the full relation matrix.
 
 The pins cover the universal group and its abelianization, the abelian
 verdict, the embedding check and the graded-span check on the ad maps of
@@ -12,14 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
-from test_linalg import _matrix_lie_algebra
+from test_linalg import _full_relation_matrix, _matrix_lie_algebra
 from test_pbw import s5_graded_sum
 from test_structure_checks import ad_maps
 
 from gradedlie.liealg import GradedSpanReport, is_graded_lie_subspace
+from gradedlie.linalg import row_hnf, smith_normal_form
 from gradedlie.pbw import embed_check
-from gradedlie.unigroup import (Presentation, abelianize, is_abelian_grading,
-                                is_abelian_presentation, universal_presentation)
+from gradedlie.unigroup import (AbelianizationData, Presentation, abelianize, image_collisions,
+                                is_abelian_grading, is_abelian_presentation,
+                                universal_presentation)
 
 ALGEBRAS = {"gl3": lambda: _matrix_lie_algebra(3, False),
             "sl3": lambda: _matrix_lie_algebra(3, True),
@@ -121,3 +124,45 @@ def test_abelianization_matches_sympy_smith_form(pres):
     assert verdict.collisions == [
         (a, b) for i, (a, x) in enumerate(zip(pres.generators, verdict.data.images))
         for b, y in zip(pres.generators[i + 1:], verdict.data.images[i + 1:]) if x == y]
+
+
+# -- the abelianization against the full relation matrix ------------------------------
+
+def _read_off_full_matrix(pres: Presentation):
+    """Free rank, invariant factors and generator images read off the Smith
+    form of the matrix with one column per relation, repeats included: the
+    free block Hermite-normalized, each torsion coordinate reduced mod d_i."""
+    form = smith_normal_form(_full_relation_matrix(pres))
+    rank = sum(1 for d in form.diag if d)
+    free = row_hnf(form.U[rank:]) if len(pres.generators) > rank else []
+    torsion = [i for i in range(rank) if form.diag[i] >= 2]
+    images = [tuple(row[j] for row in free) + tuple(form.U[i][j] % form.diag[i] for i in torsion)
+              for j in range(len(pres.generators))]
+    return len(pres.generators) - rank, [form.diag[i] for i in torsion], images
+
+
+@st.composite
+def universal_like_presentations(draw):
+    """Random presentations where some relations also come in the other
+    order, as a universal presentation lists commuting pairs."""
+    pres = draw(presentations())
+    swapped = [(b, a, c) for a, b, c in pres.relations if draw(st.booleans())]
+    return Presentation(pres.generators, pres.relations + swapped)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(universal_like_presentations())
+def test_abelianization_matches_the_full_relation_matrix(pres):
+    data = abelianize(pres)
+    free_rank, factors, images = _read_off_full_matrix(pres)
+    ref = AbelianizationData(list(pres.generators), free_rank, factors, images)
+    assert data.describe() == ref.describe()
+    assert (data.free_rank, data.invariant_factors) == (free_rank, factors)
+    assert [im[:free_rank] for im in data.images] == [im[:free_rank] for im in images]
+    assert image_collisions(data) == image_collisions(ref)
+    image = dict(zip(data.generators, data.images))
+    for s1, s2, s3 in pres.relations:
+        a, b, c = image[s1], image[s2], image[s3]
+        assert all(a[t] + b[t] == c[t] for t in range(free_rank))
+        assert all((a[free_rank + t] + b[free_rank + t] - c[free_rank + t]) % d == 0
+                   for t, d in enumerate(factors))
