@@ -379,12 +379,12 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     Every matrix passes check_block_invariant first, read on its nonzero
     entries, with the positions it wants formed once per distinct declared
     degree; an unlabelled matrix is named mats[i] in a refusal, as
-    witness_labels names it.  Each matrix is scaled to integers once (its nonzero entries
-    times the lcm of their denominators), which changes neither answer, and
-    held as sparse rows; a commutator is a sparse product, keyed by the
-    flat index r*n + c.  The commute test and the product of two declared
-    degrees are formed once per pair of distinct degrees, when a nonzero
-    commutator first meets it.  The matrices of one degree are brought to a
+    witness_labels names it.  Each matrix is scaled to integers once (its
+    nonzero entries times the lcm of their denominators), which changes
+    neither answer, and held as sparse rows; a commutator is a sparse
+    product, keyed by the flat index r*n + c.  The commute test and the
+    product of two declared degrees are formed once per pair of distinct
+    degrees, when a nonzero commutator first meets it.  The matrices of one degree are brought to a
     sparse echelon basis once per call, when a commutator first lands at
     that degree, and a commutator is in their span iff reducing it by that
     basis leaves nothing.

@@ -491,6 +491,8 @@ def test_graded_span_check_names_an_unlabelled_matrix_by_its_place():
         assert str(got.value) == message
     with pytest.raises(GradedSpanError, match=r"^matrix has entry \(0,1\)"):
         check_block_invariant(alg, cases[1][0])
+    with pytest.raises(TypeError, match=r"^mats\[2\] entry \(0,0\) must be an int"):
+        is_graded_lie_subspace(alg, [ok, ok, EndoMatrix(((1.5, 0, 0),) * 3, S3.identity())])
 
 
 # -- the block invariant -----------------------------------------------------------------
