@@ -3,7 +3,9 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import ALGEBRA_FILES, load
 from gradedlie import linalg
 from gradedlie.groups import GroupSpec
 from gradedlie.liealg import GradedLieAlgebra, LieAlgebraError
@@ -339,6 +341,30 @@ def test_su_mul_on_s5_sum_kills_noncommuting_products():
     assert su_mul(alg, c, f).is_zero() and su_mul(alg, f, c).is_zero()
     assert su_mul(alg, SUElement.monomial((3,)), SUElement.monomial((5,))) == \
         SUElement.monomial((3, 5))
+
+
+@st.composite
+def raw_terms(draw, n):
+    """A few raw words over n letters with small coefficients, so that
+    terms often meet and cancel while they are straightened."""
+    words = st.lists(st.integers(0, n - 1), max_size=4).map(tuple)
+    coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+    return draw(st.dictionaries(words, coeffs, max_size=4))
+
+
+PROPERTY_ALGEBRAS = dict({stem: load(stem) for stem in ALGEBRA_FILES}, s5_sum=s5_graded_sum())
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.sampled_from(sorted(PROPERTY_ALGEBRAS)), st.data())
+def test_normal_forms_hold_no_zero_coefficient(name, data):
+    alg = PROPERTY_ALGEBRAS[name]
+    x = SUElement(data.draw(raw_terms(alg.n)))
+    y = SUElement(data.draw(raw_terms(alg.n)))
+    forms = [normalize(alg, w, c) for w, c in x.terms.items()]
+    forms += [su_mul(alg, x, y), su_mul(alg, y, x)]
+    for form in forms:
+        assert all(form.terms.values()), (name, form)
 
 
 @pytest.mark.parametrize("letter", [5, 0.0, True])

@@ -377,6 +377,20 @@ def test_embed_check_straightens_once_per_unordered_pair(monkeypatch, algebras):
         assert len(calls) == alg.n * (alg.n - 1) // 2, name
 
 
+def test_straighten_drops_a_sorted_word_that_cancels_in_the_result(algebras):
+    # e_i e_j is sorted and reaches the result first; the swap of e_j e_i
+    # brings -e_i e_j there next, and the sum, zero, must not be kept
+    assert len(algebras) == 25
+    for name, alg in algebras.items():
+        for i in range(alg.n):
+            for j in range(i + 1, alg.n):
+                got = pbw._straighten(alg, {(i, j): 1, (j, i): -1}).terms
+                want = ({(k,): c for k, c in alg.ordered_brackets.get((i, j), ())}
+                        if alg.letters_commute(i, j) else {})
+                assert got == want, (name, i, j)
+                assert all(got.values()), (name, i, j)
+
+
 @pytest.mark.parametrize("check", [
     center,
     inner_derivations,
@@ -585,3 +599,81 @@ def test_block_invariant_agrees_with_the_sparse_check_on_ad_maps(algebras):
                 assert got == want, name
                 outside += want is not None
     assert outside >= 20
+
+
+def test_block_checks_read_entries_by_the_exact_scalar_rule(sl2):
+    # both checks read an entry's value: a string "0" outside the block is
+    # zero, and a float inside it is refused where it stands
+    ad_e = [list(row) for row in inner_derivations(sl2)[0].rows]
+    deg = sl2.degree(0)
+    strzero = [row[:] for row in ad_e]
+    strzero[0][0] = "0"
+    mat = EndoMatrix(tuple(map(tuple, strzero)), deg, "strzero")
+    check_block_invariant(sl2, mat)
+    assert is_graded_lie_subspace(sl2, [mat]).ok
+    floaty = [row[:] for row in ad_e]
+    floaty[0][1] = 1.5
+    mat = EndoMatrix(tuple(map(tuple, floaty)), deg, "floaty")
+    for check in (check_block_invariant, lambda alg, m: is_graded_lie_subspace(alg, [m])):
+        with pytest.raises(TypeError, match=r"^floaty entry \(0,1\) must be an int"):
+            check(sl2, mat)
+
+
+def test_graded_span_check_names_a_matrix_read_before_by_its_place():
+    # the entries read on the first call are kept on the matrix; the name is not
+    alg = GradedLieAlgebra(S3, [S3.identity()] * 3, {})
+    ok = EndoMatrix.build([[1, 0, 0], [0, 1, 0], [0, 0, 1]], S3.identity())
+    bad = EndoMatrix.build([[0, 1, 0]] * 3, S3.element(1))
+    for mats, i in (([ok, bad, bad], 1), ([ok, ok, bad, ok, bad], 2), ([bad, ok, bad], 0)):
+        with pytest.raises(GradedSpanError) as got:
+            is_graded_lie_subspace(alg, mats)
+        assert str(got.value) == f"mats[{i}] has entry (0,1) outside its degree block"
+    assert _block_verdict(check_block_invariant, alg, bad) == \
+        "matrix has entry (0,1) outside its degree block"
+    floaty = EndoMatrix(((1.5, 0, 0),) * 3, S3.identity())
+    for mats, i in (([floaty, floaty], 0), ([ok, floaty], 1)):
+        with pytest.raises(TypeError, match=rf"^mats\[{i}\] entry \(0,0\) must be an int"):
+            is_graded_lie_subspace(alg, mats)
+
+
+@pytest.mark.parametrize("wrap", [list, tuple], ids=["list of lists", "tuple of lists"])
+def test_block_checks_read_mutable_rows_afresh(wrap):
+    alg = GradedLieAlgebra(S3, [S3.identity(), S3.element(1), S3.identity()], {})
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    mat = EndoMatrix(wrap(rows), S3.identity(), "m")
+    outside = "m has entry (0,1) outside its degree block"
+    verdicts = []
+    for value in (0, 2, 0):
+        rows[0][1] = value
+        verdicts.append([_block_verdict(check_block_invariant, alg, mat),
+                         _block_verdict(is_graded_lie_subspace, alg, [mat])])
+    assert verdicts == [[None, None], [outside, outside], [None, None]]
+    # the span check reads the entries afresh too: [E_02, E_20] = E_00 - E_22
+    # escapes the span of the two, and [0, E_20] = 0 does not
+    flat = GradedLieAlgebra(S3, [S3.identity()] * 3, {})
+    rows = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    mats = [EndoMatrix(wrap(rows), S3.identity()),
+            EndoMatrix.build([[0, 0, 0], [0, 0, 0], [1, 0, 0]], S3.identity())]
+    reports = []
+    for value in (1, 0, 1):
+        rows[0][2] = value
+        reports.append(is_graded_lie_subspace(flat, mats).ok)
+    assert reports == [False, True, False]
+
+
+def test_string_entries_give_one_report_on_every_call(algebras):
+    # strings are read on the first call and their integer scaling kept
+    for name in ("sl3", "gl3", "s5_sum"):
+        alg = algebras[name]
+        mats = [EndoMatrix(tuple(tuple(str(x) for x in row) for row in m.rows), m.degree)
+                for m in ad_maps(alg)]
+        want = is_graded_lie_subspace(alg, ad_maps(alg))
+        assert want.ok, name
+        assert [is_graded_lie_subspace(alg, mats) for _ in range(3)] == [want] * 3, name
+        # halved maps as strings "a/2", those of degree 1 left out: [ad e, ad f]
+        # lands there and escapes, on every call
+        half = [EndoMatrix(tuple(tuple(str(Fraction(x) / 2) for x in row) for row in m.rows),
+                           m.degree) for m in ad_maps(alg) if m.degree != alg.group.identity()]
+        first = is_graded_lie_subspace(alg, half)
+        assert first.reason == "commutator escapes the span at the product degree", name
+        assert [is_graded_lie_subspace(alg, half) for _ in range(2)] == [first] * 2, name
