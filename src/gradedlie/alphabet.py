@@ -101,10 +101,9 @@ class GradedAlphabet:
     def word_is_gas(self, word: Sequence[int]) -> bool:
         """True iff the degree multiset of the word generates an abelian
         subgroup, that is iff its letters pairwise commute."""
-        letters = set(word)
         table = self._commuting
-        for i in letters:
-            if not letters <= table[i]:
+        for i in word:
+            if not table[i].issuperset(word):
                 return False
         return True
 

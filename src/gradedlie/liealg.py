@@ -279,8 +279,7 @@ class EndoMatrix:
     """Exact matrix acting on the basis of L, optionally with a declared
     degree d, in which case it must map each component L_g into L_{dg}.
     build takes entries by the structure-coefficient rule of GradedLieAlgebra.
-    The block checks keep their reading of the entries on the instance when
-    rows is a tuple of tuples (see _entries)."""
+    Both block checks read the entries by _cells."""
 
     rows: Tuple[Tuple[Fraction, ...], ...]
     degree: Optional[GroupElement] = None
@@ -295,33 +294,17 @@ class EndoMatrix:
     def flatten(self) -> List[Fraction]:
         return [x for row in self.rows for x in row]
 
-    def _entries(self, who: str) -> Tuple[Dict[int, int], Tuple[Dict[int, int], ...]]:
-        """The nonzero entries, read by the exact-scalar rule and scaled to
-        integers by the lcm of their denominators: keyed by the flat index
-        r*n + c in row-major order, and as sparse rows.  A refused entry
-        raises naming who and its place.  Read after _check_block_shape.
-
-        The result is kept on the instance when rows is a tuple of tuples,
-        as build and inner_derivations make it, and read again from there;
-        it names nothing, so who can differ from call to call.  Callers do
-        not mutate it."""
-        memo = self.__dict__.get("_memo")
-        if memo is not None:
-            return memo
+    def _cells(self, who: str) -> Dict[int, Fraction]:
+        """The nonzero entries, read by the exact-scalar rule and keyed by the
+        flat index r*n + c in row-major order.  A refused entry raises naming
+        who and its place.  Read after _check_block_shape."""
         n = len(self.rows)
         flat = self.flatten()
         if not set(map(type, flat)) <= {int, Fraction}:
             # reads the other exact scalars, refuses the rest where they stand
             flat = [_exact_entry(x, f"{who} entry ({p // n},{p % n})")
                     for p, x in enumerate(flat)]
-        cells = list(compress(range(n * n), flat))
-        nonzero = dict(zip(cells, _integer_row([flat[p] for p in cells])))
-        rows: Tuple[Dict[int, int], ...] = tuple({} for _ in range(n))
-        for p, x in nonzero.items():
-            rows[p // n][p % n] = x
-        if type(self.rows) is tuple and all(type(row) is tuple for row in self.rows):
-            object.__setattr__(self, "_memo", (nonzero, rows))  # the dataclass is frozen
-        return nonzero, rows
+        return {p: flat[p] for p in compress(range(n * n), flat)}
 
 
 def check_block_invariant(alg: GradedLieAlgebra, mat: EndoMatrix) -> None:
@@ -331,7 +314,7 @@ def check_block_invariant(alg: GradedLieAlgebra, mat: EndoMatrix) -> None:
     read by the exact-scalar rule, as is_graded_lie_subspace reads them."""
     who = mat.label or "matrix"
     _check_block_shape(alg, mat, who)
-    _check_block_entries(alg, mat, who, mat._entries(who)[1], {})
+    _check_block_entries(alg, mat, who, mat._cells(who), {})
 
 
 def _check_block_shape(alg: GradedLieAlgebra, mat: EndoMatrix, who: str) -> None:
@@ -347,25 +330,25 @@ def _check_block_shape(alg: GradedLieAlgebra, mat: EndoMatrix, who: str) -> None
 
 
 def _check_block_entries(alg: GradedLieAlgebra, mat: EndoMatrix, who: str,
-                         rows: Sequence[Mapping[int, int]],
+                         cells: Mapping[int, Fraction],
                          wants: Dict[GroupElement, List[int]]) -> None:
-    """Raise GradedSpanError at the first nonzero entry (r, c) of mat, in
-    row-major order, with deg e_r != mat.degree * deg e_c; rows are
-    mat._entries' sparse rows.  The product is formed once per distinct
-    column degree and compared by its position among the distinct degrees
-    (-1 outside them); that row is kept in wants under mat.degree, for the
-    other matrices of one call."""
-    if not any(rows):
+    """Raise GradedSpanError at the first of the cells r*n + c, the nonzero
+    entries of mat in row-major order as _cells keys them, with
+    deg e_r != mat.degree * deg e_c.
+    The product is formed once per distinct column degree and compared by
+    its position among the distinct degrees (-1 outside them); that row is
+    kept in wants under mat.degree, for the other matrices of one call."""
+    if not cells:
         return
+    n = alg.n
     index, position = alg._degree_index
     want = wants.get(mat.degree)
     if want is None:
         want = wants[mat.degree] = [index.get(mat.degree * d, -1) for d in index]
-    for r, row in enumerate(rows):
-        at = position[r]
-        for c in row:
-            if at != want[position[c]]:
-                raise GradedSpanError(f"{who} has entry ({r},{c}) outside its degree block")
+    for p in cells:
+        r, c = divmod(p, n)
+        if position[r] != want[position[c]]:
+            raise GradedSpanError(f"{who} has entry ({r},{c}) outside its degree block")
 
 
 def inner_derivations(alg: GradedLieAlgebra) -> List[EndoMatrix]:
@@ -412,10 +395,10 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     Every matrix passes check_block_invariant first, read on its nonzero
     entries, with the positions it wants formed once per distinct declared
     degree; an unlabelled matrix is named mats[i] in a refusal, as
-    witness_labels names it.  Each matrix is read by EndoMatrix._entries,
-    scaled to integers (its nonzero entries times the lcm of their
-    denominators), which changes neither answer, and held as sparse rows; a
-    commutator is a sparse product, keyed by the flat index r*n + c.  The commute test and the
+    witness_labels names it.  Each matrix is scaled to integers once (its
+    nonzero entries times the lcm of their denominators), which changes
+    neither answer, and held as sparse rows; a commutator is a sparse
+    product, keyed by the flat index r*n + c.  The commute test and the
     product of two declared degrees are formed once per pair of distinct
     degrees, when a nonzero commutator first meets it.  The matrices of one degree are brought to a
     sparse echelon basis once per call, when a commutator first lands at
@@ -428,8 +411,12 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     for i, mat in enumerate(mats):
         who = mat.label or f"mats[{i}]"
         _check_block_shape(alg, mat, who)
-        nonzero, rows = mat._entries(who)
-        _check_block_entries(alg, mat, who, rows, wants)
+        cells = mat._cells(who)
+        _check_block_entries(alg, mat, who, cells, wants)
+        nonzero = dict(zip(cells, _integer_row(list(cells.values()))))
+        rows: List[Dict[int, int]] = [{} for _ in range(n)]
+        for p, x in nonzero.items():
+            rows[p // n][p % n] = x
         flats.append(nonzero)
         ints.append(rows)
     classes = _degree_classes([m.degree for m in mats])

@@ -113,34 +113,21 @@ def _straighten(alg: GradedLieAlgebra, words: Dict[Monomial, Fraction]) -> SUEle
     each step lowers (length, inversion count) lexicographically; equal
     adjacent letters are never swapped.
     """
-    n, friends = alg.n, alg._commuting
+    n = alg.n
     pending: Dict[Monomial, Fraction] = {}
     for w, c in words.items():
         for i in w:
             if type(i) is not int or not 0 <= i < n:
                 _check_basis_indices(n, *w)
-        if c:
-            for i in w:
-                if not friends[i].issuperset(w):
-                    break
-            else:
-                pending[w] = c
+        if c and alg.word_is_gas(w):
+            pending[w] = c
     result: Dict[Monomial, Fraction] = {}
     while pending:
         w = next(iter(pending))
         c = pending.pop(w)
         t = _leftmost_descent(w)
         if t is None:
-            # c is nonzero: a sorted word arriving first is stored as it is
-            s = result.get(w)
-            if s is None:
-                result[w] = c
-            else:
-                s += c
-                if s:
-                    result[w] = s
-                else:
-                    del result[w]
+            _accumulate(result, w, c)
             continue
         b, a = w[t], w[t + 1]  # b > a
         _accumulate(pending, w[:t] + (a, b) + w[t + 2:], c)

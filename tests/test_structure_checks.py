@@ -619,8 +619,9 @@ def test_block_checks_read_entries_by_the_exact_scalar_rule(sl2):
             check(sl2, mat)
 
 
-def test_graded_span_check_names_a_matrix_read_before_by_its_place():
-    # the entries read on the first call are kept on the matrix; the name is not
+def test_graded_span_check_names_a_repeated_matrix_by_its_place():
+    # one matrix object at two places of mats, over calls that reuse it:
+    # each refusal names the first place that fails
     alg = GradedLieAlgebra(S3, [S3.identity()] * 3, {})
     ok = EndoMatrix.build([[1, 0, 0], [0, 1, 0], [0, 0, 1]], S3.identity())
     bad = EndoMatrix.build([[0, 1, 0]] * 3, S3.element(1))
@@ -662,7 +663,7 @@ def test_block_checks_read_mutable_rows_afresh(wrap):
 
 
 def test_string_entries_give_one_report_on_every_call(algebras):
-    # strings are read on the first call and their integer scaling kept
+    # strings are read by the exact-scalar rule and scaled alike on every call
     for name in ("sl3", "gl3", "s5_sum"):
         alg = algebras[name]
         mats = [EndoMatrix(tuple(tuple(str(x) for x in row) for row in m.rows), m.degree)
