@@ -127,7 +127,12 @@ def _straighten(alg: GradedLieAlgebra, words: Dict[Monomial, Fraction]) -> SUEle
         c = pending.pop(w)
         t = _leftmost_descent(w)
         if t is None:
-            _accumulate(result, w, c)
+            # c is nonzero: a sorted word's first arrival is stored as it is,
+            # without the Fraction addition 0 + c of _accumulate
+            if w in result:
+                _accumulate(result, w, c)
+            else:
+                result[w] = c
             continue
         b, a = w[t], w[t + 1]  # b > a
         _accumulate(pending, w[:t] + (a, b) + w[t + 2:], c)

@@ -13,18 +13,12 @@ from typing import List, Sequence, Tuple
 
 
 def _accumulate(acc: dict, key, c) -> None:
-    """acc[key] += c in place, dropping the key when the sum is zero.  A
-    key's first nonzero c is stored as it is, with no addition to 0."""
-    s = acc.get(key)
-    if s is None:
-        if c:
-            acc[key] = c
+    """acc[key] += c in place, dropping the key when the sum is zero."""
+    s = acc.get(key, 0) + c
+    if s == 0:
+        acc.pop(key, None)
     else:
-        s += c
-        if s:
-            acc[key] = s
-        else:
-            del acc[key]
+        acc[key] = s
 
 
 def _sparse_add(x: dict, y: dict) -> dict:

@@ -132,17 +132,6 @@ def test_rank_names_the_first_bad_entry_in_row_order():
     assert str(got.value) == "row 0, entry 1 is not a rational number: 'x'"
 
 
-def test_accumulate_stores_no_zero():
-    # a key's first c is stored as it is unless it is zero; a sum that
-    # cancels drops the key
-    acc: dict = {}
-    for key, c in (("a", 0), ("b", Fraction(0)), ("c", 2), ("c", -2), ("d", Fraction(1, 2)),
-                   ("d", Fraction(1, 2)), ("e", 3)):
-        sparse._accumulate(acc, key, c)
-    assert acc == {"d": 1, "e": 3}
-    assert (type(acc["d"]), type(acc["e"])) == (Fraction, int)
-
-
 def test_sparse_echelon_decides_span_membership_like_in_span():
     rng = random.Random(61)
     seen = {True: 0, False: 0}
