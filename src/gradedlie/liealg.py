@@ -4,15 +4,18 @@ An algebra is a graded alphabet (alphabet.GradedAlphabet: a finite
 homogeneous basis with names and degrees in a group backend) plus a sparse
 table of exact rational structure constants stored for i < j only, plus the
 same table read in both orders; the diagonal is identically zero.  No other
-module reads the stored form.  Validation, the bilinear bracket, the
-(graded) center, inner derivations and the graded-Lie-subspace check on
-endomorphism spans all live here.  The alphabet's names (GradedAlphabet,
-LieAlgebraError and the index and scalar rules) are importable from here
-too.
+module reads the stored form.  On first use an algebra also keeps its
+integral twin (the same constants times their common denominator) and the
+position of the product of any two of its distinct degrees.  Validation,
+the bilinear bracket, the (graded) center, inner derivations and the
+graded-Lie-subspace check on endomorphism spans all live here.  The
+alphabet's names (GradedAlphabet, LieAlgebraError and the index and scalar
+rules) are importable from here too.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,6 +95,29 @@ class GradedLieAlgebra(GradedAlphabet):
         degrees = list(index)
         pairs = sorted({(position[i], position[j]) for i, j in self.ordered_brackets})
         return {(p, q): index.get(degrees[p] * degrees[q]) for p, q in pairs}
+
+    @cached_property
+    def _degree_products(self) -> Tuple[Tuple[int, ...], ...]:
+        """Row p, column q: the position in _degree_index of the product of
+        the p-th and the q-th distinct degree, -1 if no letter has it; one
+        product per ordered pair of distinct degrees."""
+        index = self._degree_index[0]
+        return tuple(tuple(index.get(d * e, -1) for e in index) for d in index)
+
+    @cached_property
+    def _integral(self) -> "GradedLieAlgebra":
+        """The isomorphic algebra on the basis D e_i, D the lcm of every
+        structure constant's denominator: [D e_i, D e_j] = D sum_k c_k D e_k,
+        so its brackets and ordered_brackets hold the int constants D c.  A
+        shallow copy: it shares the names, the degrees and every cache
+        already filled (the commuting-letter table among them)."""
+        den = math.lcm(*(c.denominator for terms in self.brackets.values() for _, c in terms))
+        twin = copy.copy(self)
+        twin.ordered_brackets = ordered = {
+            p: tuple([(k, c.numerator * (den // c.denominator)) for k, c in terms])
+            for p, terms in self.ordered_brackets.items()}
+        twin.brackets = {p: ordered[p] for p in self.brackets}
+        return twin
 
     def components(self) -> List[Tuple[GroupElement, List[int]]]:
         """Homogeneous components as (degree, basis indices), in first
@@ -233,23 +259,23 @@ def _ad_kernel(alg: GradedLieAlgebra) -> Tuple[List[int], List[LieVector]]:
     letters whose maps are kept, in index order, and center's relations.
 
     Each ad e_i is a sparse integer vector, entry (k, j) keyed k*n + j and
-    scaled by the common denominator D of the structure constants, with a
-    tag 1 at key n*n + i.  It is reduced on the kept rows of its component
-    (in components() order, letters in index order); a map with an entry
-    below n*n left is kept.  Otherwise the tags left are a relation
-    sum_t x_t ad e_t = 0, divided by the tag at i: the canonical null space
-    vector of column i, which holds 1 at i and 0 at every other map not
-    kept.  A map is kept iff it is not in the span of the earlier maps,
-    and maps of different degrees have disjoint entries, so the kept maps
-    are also the greedy independent subset of all of them, in index order."""
+    read off the algebra's _integral constants (scaled by their common
+    denominator D), with a tag 1 at key n*n + i.  It is reduced on the kept
+    rows of its component (in components() order, letters in index order);
+    a map with an entry below n*n left is kept.  Otherwise the tags left are
+    a relation sum_t x_t ad e_t = 0, divided by the tag at i: the canonical
+    null space vector of column i, which holds 1 at i and 0 at every other
+    map not kept.  A map is kept iff it is not in the span of the earlier
+    maps, and maps of different degrees have disjoint entries, so the kept
+    maps are also the greedy independent subset of all of them, in index
+    order."""
     n = alg.n
     tag = n * n
-    den = math.lcm(*(c.denominator for terms in alg.brackets.values() for _, c in terms))
     ads: Dict[int, Dict[int, int]] = {}
-    for (i, j), terms in alg.ordered_brackets.items():
+    for (i, j), terms in alg._integral.ordered_brackets.items():
         ad = ads.setdefault(i, {})
         for k, c in terms:
-            ad[k * n + j] = c.numerator * (den // c.denominator)
+            ad[k * n + j] = c
     kept: List[int] = []
     relations: List[LieVector] = []
     for _, idxs in alg.components():
@@ -325,18 +351,20 @@ def _check_block_shape(alg: GradedLieAlgebra, mat: EndoMatrix, who: str) -> None
     if not isinstance(mat.degree, GroupElement) or mat.degree.spec != alg.group:
         raise GradedSpanError(f"{who} has a declared degree that is not an element of the "
                               "algebra's group")
-    if len(mat.rows) != alg.n or any(len(r) != alg.n for r in mat.rows):
-        raise GradedSpanError(f"{who} is not {alg.n}x{alg.n}")
+    n = alg.n
+    if len(mat.rows) != n or any(len(r) != n for r in mat.rows):
+        raise GradedSpanError(f"{who} is not {n}x{n}")
 
 
 def _check_block_entries(alg: GradedLieAlgebra, mat: EndoMatrix, who: str,
                          cells: Mapping[int, Fraction],
-                         wants: Dict[GroupElement, List[int]]) -> None:
+                         wants: Dict[GroupElement, Sequence[int]]) -> None:
     """Raise GradedSpanError at the first of the cells r*n + c, the nonzero
     entries of mat in row-major order as _cells keys them, with
     deg e_r != mat.degree * deg e_c.
-    The product is formed once per distinct column degree and compared by
-    its position among the distinct degrees (-1 outside them); that row is
+    The two are compared by their positions among the distinct degrees (-1
+    outside them): the row of mat.degree in _degree_products if some letter
+    has that degree, else one product per distinct degree, formed once and
     kept in wants under mat.degree, for the other matrices of one call."""
     if not cells:
         return
@@ -344,7 +372,9 @@ def _check_block_entries(alg: GradedLieAlgebra, mat: EndoMatrix, who: str,
     index, position = alg._degree_index
     want = wants.get(mat.degree)
     if want is None:
-        want = wants[mat.degree] = [index.get(mat.degree * d, -1) for d in index]
+        p = index.get(mat.degree)
+        want = wants[mat.degree] = (alg._degree_products[p] if p is not None else
+                                    [index.get(mat.degree * d, -1) for d in index])
     for p in cells:
         r, c = divmod(p, n)
         if position[r] != want[position[c]]:
@@ -393,35 +423,44 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
     vanish; otherwise a nonzero commutator must lie in the span of the listed
     matrices of the product degree.  The first offending pair is the witness.
     Every matrix passes check_block_invariant first, read on its nonzero
-    entries, with the positions it wants formed once per distinct declared
-    degree; an unlabelled matrix is named mats[i] in a refusal, as
-    witness_labels names it.  Each matrix is scaled to integers once (its
-    nonzero entries times the lcm of their denominators), which changes
-    neither answer, and held as sparse rows; a commutator is a sparse
-    product, keyed by the flat index r*n + c.  The commute test and the
-    product of two declared degrees are formed once per pair of distinct
-    degrees, when a nonzero commutator first meets it.  The matrices of one degree are brought to a
-    sparse echelon basis once per call, when a commutator first lands at
-    that degree, and a commutator is in their span iff reducing it by that
-    basis leaves nothing.
+    entries; an unlabelled matrix is named mats[i] in a refusal, as
+    witness_labels names it.  A declared degree that some letter has reads
+    its wanted positions, and a pair of such degrees its product and commute
+    test, from the algebra's _degree_products table; any other declared
+    degree forms them in the call, once per distinct degree or pair.  Each
+    matrix is scaled to integers once (its nonzero entries times the lcm of
+    their denominators), which changes neither answer, and held as its
+    nonzero sparse rows; a commutator is a sparse product, keyed by the
+    flat index r*n + c.  The matrices of one degree are brought to a sparse
+    echelon basis once per call, when a commutator first lands at that
+    degree, and a commutator is in their span iff reducing it by that basis
+    leaves nothing.
     """
     n = alg.n
+    index = alg._degree_index[0]
     flats, ints = [], []
-    wants: Dict[GroupElement, List[int]] = {}
+    wants: Dict[GroupElement, Sequence[int]] = {}
     for i, mat in enumerate(mats):
         who = mat.label or f"mats[{i}]"
         _check_block_shape(alg, mat, who)
         cells = mat._cells(who)
         _check_block_entries(alg, mat, who, cells, wants)
         nonzero = dict(zip(cells, _integer_row(list(cells.values()))))
-        rows: List[Dict[int, int]] = [{} for _ in range(n)]
+        rows: Dict[int, Dict[int, int]] = {}
         for p, x in nonzero.items():
-            rows[p // n][p % n] = x
+            rows.setdefault(p // n, {})[p % n] = x
         flats.append(nonzero)
         ints.append(rows)
     classes = _degree_classes([m.degree for m in mats])
     where = {d: t for t, (d, _) in enumerate(classes)}
     cls = [where[m.degree] for m in mats]
+    # each class's degree by its position among the algebra's degrees, or
+    # None; and the class of each of those positions, -1 if no matrix has it
+    pos = [index.get(d) for d, _ in classes]
+    of_pos = [-1] * len(index)
+    for t, p in enumerate(pos):
+        if p is not None:
+            of_pos[p] = t
     # unordered pair of degree classes -> class of their product (-1 if no
     # matrix has it), or None if the degrees do not commute
     targets: Dict[Tuple[int, int], Optional[int]] = {}
@@ -430,20 +469,31 @@ def is_graded_lie_subspace(alg: GradedLieAlgebra,
         for i2 in range(i1 + 1, len(mats)):
             comm: Dict[int, int] = {}
             for a, b, sign in ((ints[i1], ints[i2], 1), (ints[i2], ints[i1], -1)):
-                for r, row in enumerate(a):
+                for r, row in a.items():
                     at = r * n
                     for k, x in row.items():
-                        x *= sign
-                        for c, y in b[k].items():
-                            comm[at + c] = comm.get(at + c, 0) + x * y
+                        col = b.get(k)
+                        if col:
+                            x *= sign
+                            for c, y in col.items():
+                                comm[at + c] = comm.get(at + c, 0) + x * y
             comm = {p: x for p, x in comm.items() if x}
             if not comm:
                 continue
             lo, hi = sorted((cls[i1], cls[i2]))
             if (lo, hi) not in targets:
-                d, e = classes[lo][0], classes[hi][0]
-                # commuting degrees have one product in either order
-                targets[lo, hi] = where.get(d * e, -1) if lo == hi or commute(d, e) else None
+                p, q = pos[lo], pos[hi]
+                de = ed = -1
+                if p is not None and q is not None:
+                    de, ed = alg._degree_products[p][q], alg._degree_products[q][p]
+                if de != ed:  # two different products: the degrees do not commute
+                    targets[lo, hi] = None
+                elif de >= 0:
+                    targets[lo, hi] = of_pos[de]
+                else:
+                    d, e = classes[lo][0], classes[hi][0]
+                    # commuting degrees have one product in either order
+                    targets[lo, hi] = where.get(d * e, -1) if lo == hi or commute(d, e) else None
             target = targets[lo, hi]
             if target is None:
                 return GradedSpanReport(

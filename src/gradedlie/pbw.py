@@ -228,7 +228,11 @@ def embed_check(alg: GradedLieAlgebra) -> EmbedReport:
     independent.  The (j, i) equation is the negation of the (i, j) one and
     the i == j one reads 0 = 0, so one straightening per pair i < j decides
     both orders; pair_failures lists the failing pairs in both orders,
-    sorted."""
+    sorted.  The pairs are straightened on the algebra's _integral twin,
+    whose constants are ints: a two-letter commutator takes one rewrite,
+    linear in the constants, and the twin's are the algebra's times one
+    nonzero D, so each pair fails on the twin iff it fails on the algebra."""
+    alg = alg._integral
     failures = []
     for i in range(alg.n):
         for j in range(i + 1, alg.n):
